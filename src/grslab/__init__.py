@@ -64,6 +64,7 @@ from .grs import (
     g0_quadratic_check,
     gq_basis_defect,
     truncated,
+    weighted_gram,
     weighted_inner,
     weighted_product,
 )

@@ -52,10 +52,10 @@ from .grs import (
     family_samples,
     g0_quadratic_check,
     gq_basis_defect,
-    weighted_product,
+    weighted_gram,
 )
 from .hamiltonian import eigen_residual, fd_matrix
-from .krein import CoefficientRep, FunctionRep, gram_matrix, krein_inner, lincomb, to_samples
+from .krein import CoefficientRep, FunctionRep, krein_inner, lincomb, to_samples
 from .report import (
     Check,
     VerificationReport,
@@ -145,8 +145,8 @@ def _krein_pair(sys_rule, f: FunctionRep, g: FunctionRep) -> complex:
 def weighted_onb_defect(sys: BiorthogonalSystem) -> float:
     """Worst deviation of the two weighted family Grams from the identity."""
     worst = 0.0
-    for family, sign in ((sys.phi, -1), (sys.psi, 1)):
-        g = gram_matrix(list(family), weighted_product(sys.q, sign, sys.rule))
+    for which, sign in (("phi", -1), ("psi", 1)):
+        g = weighted_gram(sys, which, sign)
         worst = max(worst, float(np.max(np.abs(g - np.eye(sys.n)))))
     return worst
 

@@ -22,7 +22,7 @@ import numpy as np
 from .basis import BasisSet, QuadratureRule
 from .defaults import PARITY_CHECK_TOL, TOL_KREIN
 from .errors import DomainError, NotJOrthonormalError, StructureError
-from .grs import BiorthogonalSystem
+from .grs import BiorthogonalSystem, weighted_samples
 from .krein import (
     CoefficientRep,
     FunctionRep,
@@ -248,7 +248,8 @@ def expansion_residual(
 
     The norm is evaluated in factored form: exp(-Q/2) is applied term by term
     (it is linear), and the plain norm of
-    exp(-Q/2) f - sum_n alpha_n exp(-Q/2) phi_n is returned.
+    exp(-Q/2) f - sum_n alpha_n exp(-Q/2) phi_n is returned; the sum is one
+    product with the table of exp(-Q/2) phi_n.
     """
     if anticommutes_with_parity(sys.q, sys.rule).verdict != "yes":
         raise StructureError("the indefinite expansion needs a first-type system")
@@ -263,8 +264,6 @@ def expansion_residual(
     # alpha_n = delta_n [f, phi_n]
     f_rev = fs[::-1]
     alphas = np.array(signs[:m]) * (np.conj(sys.phi_samples[:m]) @ (w * f_rev))
-    u = to_samples(apply_exp_q(sys.q, -0.5, f, sys.rule), sys.rule).samples.copy()
-    for n in range(m):
-        en = to_samples(apply_exp_q(sys.q, -0.5, sys.phi[n], sys.rule), sys.rule)
-        u -= alphas[n] * en.samples
+    u = to_samples(apply_exp_q(sys.q, -0.5, f, sys.rule), sys.rule).samples
+    u = u - alphas @ weighted_samples(sys, "phi", -1)[:m]
     return math.sqrt(abs(np.sum(w * np.abs(u) ** 2)))

@@ -3,9 +3,16 @@
 Built at finite truncation N from a metric generator Q and an orthonormal
 basis; all the Hilbert-space identities asserted for such pairs are exposed
 as defect numbers rather than booleans, so the same kernels serve both
-pass/fail gates and convergence studies.  Weighted inner products are always
-evaluated in the factored form <exp(sQ/2) f, exp(sQ/2) g>, which halves the
-dynamic range compared to applying exp(sQ) whole.
+pass/fail gates and convergence studies.
+
+Each family is evaluated once, as an (N x P) table on the working rule: one
+Hermite table at the shifted argument for translation generators, one
+pointwise exp(+-q/2) multiply of the basis table for multiplication symbols.
+The domain-decay gate, the Grams and the defects are matrix expressions over
+those tables (BLAS products), not loops over members or pairs.  Weighted
+inner products are always evaluated in the factored form
+<exp(sQ/2) f, exp(sQ/2) g>, which halves the dynamic range compared to
+applying exp(sQ) whole.
 """
 
 from __future__ import annotations
@@ -16,15 +23,19 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .basis import BasisSet, QuadratureRule
+from .basis import BasisSet, QuadratureRule, hermite_function_table
 from .defaults import DECAY_THRESHOLD, QUAD_ORDER_PAD
-from .errors import DomainError, NumericError
+from .errors import DomainError, MagnitudeError, NumericError
 from .krein import CoefficientRep, FunctionRep, SampleRep, inner, to_samples, unit_vector
 from .metric_ops import (
+    DiagonalHermite,
     MetricOperatorQ,
     Multiplication,
+    TranslationGenerator,
     apply_exp_q,
     decay_scores,
+    multiply_exp_q,
+    outer_mass_fraction,
     working_rule,
 )
 
@@ -36,6 +47,8 @@ __all__ = [
     "g0_quadratic_check",
     "weighted_inner",
     "weighted_product",
+    "weighted_gram",
+    "weighted_samples",
     "family_samples",
     "truncated",
 ]
@@ -75,6 +88,45 @@ def _coefficient_family(reps: Sequence[FunctionRep]) -> bool:
     return all(isinstance(r, CoefficientRep) and r.shift == 0 for r in reps)
 
 
+#: exponents of the phi and psi families, in the order the decay gate checks them
+_HALVES = (0.5, -0.5)
+
+
+def _member_table(
+    basis: BasisSet, n: int, rule: QuadratureRule, shift: complex = 0j
+) -> np.ndarray:
+    """Samples of e_k(x + shift), k < n, on ``rule``, one row per member.
+
+    Row k equals ``to_samples`` of the unit vector e_k (with that shift) bit
+    for bit: analytic members are evaluated at complex arguments as
+    :func:`grslab.krein.evaluate` does, the recurrence rows do not depend on
+    the top degree, and the unit-vector contractions are exact.
+    """
+    if basis.is_analytic:
+        return hermite_function_table(n - 1, np.asarray(rule.nodes, dtype=complex) + shift)
+    return basis.table(rule)[:n]
+
+
+def _moved_family(
+    q_op: MetricOperatorQ, basis: BasisSet, n: int, t: float, rule: QuadratureRule
+) -> tuple[tuple[FunctionRep, ...], np.ndarray]:
+    """exp(tQ) e_k for k < n: the member representations and their samples.
+
+    Translation samples are one member table at the shifted argument,
+    multiplication samples one pointwise multiply of the member table.
+    """
+    if isinstance(q_op, Multiplication):
+        moved = multiply_exp_q(q_op, t, _member_table(basis, n, rule), rule)
+        # C order: numeric member tables are transposed views, and the rows
+        # below must be views of the very table the system keeps
+        table = np.ascontiguousarray(moved, dtype=complex)
+        return tuple(SampleRep(rule, row) for row in table), table
+    reps = tuple(apply_exp_q(q_op, t, unit_vector(basis, k), rule) for k in range(n))
+    if isinstance(q_op, TranslationGenerator):
+        return reps, _member_table(basis, n, rule, reps[0].shift)
+    return reps, np.vstack([to_samples(f, rule).samples for f in reps])
+
+
 def build_system(
     q_op: MetricOperatorQ,
     basis: BasisSet,
@@ -86,43 +138,50 @@ def build_system(
     """Materialize both families and record their quality numbers.
 
     Every basis member must clear the domain-decay gate for both signs of
-    exp(+-Q/2); the offending index and sign are named otherwise.
+    exp(+-Q/2); the first offending index (exp(+Q/2) before exp(-Q/2)) and
+    its sign are named otherwise.  A sign whose action overflows scores 0.
     """
     if not 1 <= n <= basis.size:
         raise DomainError(f"truncation {n} must lie in [1, basis size {basis.size}]")
     if rule is None:
         rule = working_rule(basis, quad_order or 2 * n + QUAD_ORDER_PAD)
 
-    min_score = 1.0
-    phi: list[FunctionRep] = []
-    psi: list[FunctionRep] = []
-    for k in range(n):
-        e_k = unit_vector(basis, k)
-        scores = decay_scores(q_op, e_k, rule)
-        for t, s in scores.items():
-            if s < decay_threshold:
-                raise DomainError(
-                    f"basis member {k}: exp({t:+g} Q) mass escapes the window "
-                    f"(score {s:.3f} < {decay_threshold}); the generator does not "
-                    "admit this basis at the working resolution"
-                )
-        min_score = min(min_score, *scores.values())
-        phi.append(apply_exp_q(q_op, 0.5, e_k, rule))
-        psi.append(apply_exp_q(q_op, -0.5, e_k, rule))
-
-    phi_s = np.vstack([to_samples(f, rule).samples for f in phi])
-    psi_s = np.vstack([to_samples(f, rule).samples for f in psi])
+    families = {}
+    if isinstance(q_op, DiagonalHermite):
+        # scored in coefficient space, member by member
+        scores = np.array(
+            [list(decay_scores(q_op, unit_vector(basis, k), rule).values()) for k in range(n)]
+        )
+    else:
+        scores = np.zeros((n, len(_HALVES)))
+        for j, t in enumerate(_HALVES):
+            try:
+                families[t] = _moved_family(q_op, basis, n, t, rule)
+            except MagnitudeError:
+                continue
+            scores[:, j] = 1.0 - outer_mass_fraction(families[t][1], rule)
+    bad = np.argwhere(scores < decay_threshold)
+    if bad.size:
+        k, j = bad[0]
+        raise DomainError(
+            f"basis member {k}: exp({_HALVES[j]:+g} Q) mass escapes the window "
+            f"(score {scores[k, j]:.3f} < {decay_threshold}); the generator does not "
+            "admit this basis at the working resolution"
+        )
+    (phi, phi_s), (psi, psi_s) = (
+        families.get(t) or _moved_family(q_op, basis, n, t, rule) for t in _HALVES
+    )
 
     sys = BiorthogonalSystem(
         basis=basis,
         q=q_op,
         n=int(n),
         rule=rule,
-        phi=tuple(phi),
-        psi=tuple(psi),
+        phi=phi,
+        psi=psi,
         phi_samples=phi_s,
         psi_samples=psi_s,
-        min_decay_score=float(min_score),
+        min_decay_score=float(np.min(scores)),
         biorth_defect=0.0,
     )
     return replace(sys, biorth_defect=biorthogonality_defect(sys))
@@ -245,6 +304,51 @@ def weighted_product(
 ) -> Callable[[FunctionRep, FunctionRep], complex]:
     """The weighted product as a callable, for :func:`grslab.krein.gram_matrix`."""
     return lambda f, g: weighted_inner(q_op, sign, f, g, rule)
+
+
+def _weighted_rows(sys: BiorthogonalSystem, which: str, sign: int) -> tuple[np.ndarray, bool]:
+    """exp(sign Q/2) applied to each phi or psi member, one row per member.
+
+    Multiplication acts pointwise on the cached table.  Other generators move
+    each member in its own representation (O(N) cheap actions); when every
+    result is an unshifted coefficient vector the rows are coefficients over
+    the basis and the flag is True, otherwise they are samples on the
+    working rule.
+    """
+    if which not in ("phi", "psi"):
+        raise DomainError(f"which must be phi or psi, got {which!r}")
+    if sign not in (-1, 1):
+        raise DomainError(f"sign must be -1 or +1, got {sign!r}")
+    t = 0.5 * sign
+    if isinstance(sys.q, Multiplication):
+        return multiply_exp_q(sys.q, t, family_samples(sys, which), sys.rule), False
+    reps = sys.phi if which == "phi" else sys.psi
+    moved = [apply_exp_q(sys.q, t, r, sys.rule) for r in reps]
+    if _coefficient_family(moved):
+        rows = np.zeros((len(moved), sys.basis.size), dtype=complex)
+        for k, r in enumerate(moved):
+            rows[k, : r.coeffs.size] = r.coeffs
+        return rows, True
+    return np.vstack([to_samples(r, sys.rule).samples for r in moved]), False
+
+
+def weighted_gram(sys: BiorthogonalSystem, which: str, sign: int) -> np.ndarray:
+    """W[n, m] = <exp(sign Q/2) f_n, exp(sign Q/2) f_m> for f = phi or psi.
+
+    Coefficient rows give the exact coefficient-space Gram (so a translation
+    system reads exactly the identity); sample rows one quadrature product.
+    """
+    rows, coefficients = _weighted_rows(sys, which, sign)
+    if coefficients:
+        return rows @ np.conj(rows.T)
+    weighted = rows * sys.rule.dx_weights
+    return weighted @ np.conj(rows, out=rows).T  # rows are a fresh table
+
+
+def weighted_samples(sys: BiorthogonalSystem, which: str, sign: int) -> np.ndarray:
+    """Rows exp(sign Q/2) f_n, f = phi or psi, sampled on the working rule."""
+    rows, coefficients = _weighted_rows(sys, which, sign)
+    return rows @ _member_table(sys.basis, sys.basis.size, sys.rule) if coefficients else rows
 
 
 # ---------------------------------------------------------------------------

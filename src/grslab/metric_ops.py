@@ -42,9 +42,11 @@ __all__ = [
     "ParityAnticommutation",
     "ALLOWED_EXPONENTS",
     "apply_exp_q",
+    "multiply_exp_q",
     "anticommutes_with_parity",
     "domain_decay_score",
     "decay_scores",
+    "outer_mass_fraction",
 ]
 
 ALLOWED_EXPONENTS = (-1.0, -0.5, 0.5, 1.0)
@@ -162,13 +164,21 @@ def apply_exp_q(
 
     if isinstance(q_op, Multiplication):
         g = to_samples(f, _resolve_rule(f, rule))
-        factors = _checked_exp(t * q_op.values(g.rule.nodes))
-        values = factors * g.samples
-        if not np.all(np.isfinite(values)):
-            raise MagnitudeError("exp(tQ) f left the representable range")
-        return SampleRep(g.rule, values)
+        return SampleRep(g.rule, multiply_exp_q(q_op, t, g.samples, g.rule))
 
     raise StructureError(f"unknown metric generator {type(q_op).__name__}")
+
+
+def multiply_exp_q(
+    q_op: Multiplication, t: float, samples: np.ndarray, rule: QuadratureRule
+) -> np.ndarray:
+    """exp(tQ) for a multiplication generator, applied pointwise to samples
+    on ``rule``: one function, or a table with one function per row."""
+    factors = _checked_exp(t * q_op.values(rule.nodes))
+    values = factors * samples
+    if not np.all(np.isfinite(values)):
+        raise MagnitudeError("exp(tQ) f left the representable range")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +289,17 @@ def _mass_fraction_outer(g: FunctionRep, rule: QuadratureRule | None) -> float:
         total = float(np.sum(full))
         return float(np.sum(full[-k:])) / total if total > 0 else 0.0
     r = _resolve_rule(g, rule)
-    v = to_samples(g, r).samples
-    mass = r.dx_weights * np.abs(v) ** 2
-    k = max(1, round(0.05 * len(r)))
-    total = float(np.sum(mass))
-    outer = float(np.sum(mass[:k]) + np.sum(mass[-k:]))
-    return outer / total if total > 0 else 0.0
+    return float(outer_mass_fraction(to_samples(g, r).samples[np.newaxis], r)[0])
+
+
+def outer_mass_fraction(rows: np.ndarray, rule: QuadratureRule) -> np.ndarray:
+    """Per row of a sample table, the fraction of L2 mass on the outer 5% of
+    the nodes at each end (0 for a row without mass)."""
+    mass = rule.dx_weights * np.abs(rows) ** 2
+    k = max(1, round(0.05 * len(rule)))
+    total = np.sum(mass, axis=1)
+    outer = np.sum(mass[:, :k], axis=1) + np.sum(mass[:, -k:], axis=1)
+    return np.divide(outer, total, out=np.zeros_like(total), where=total > 0)
 
 
 def decay_scores(

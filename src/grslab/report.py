@@ -117,13 +117,16 @@ def emit_json(report: VerificationReport, path: str) -> None:
 def write_matrix_csv(matrix: np.ndarray, path: str) -> None:
     """Dump a complex matrix as rows ``n,m,value_re,value_im``."""
     m = np.atleast_2d(np.asarray(matrix, dtype=complex))
+    # byte-identical to csv.writer output: no field needs quoting, lines end
+    # in "\r\n"; one write per matrix row keeps the text out of peak memory
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "m", "value_re", "value_im"])
-            for i in range(m.shape[0]):
-                for j in range(m.shape[1]):
-                    writer.writerow([i, j, repr(float(m[i, j].real)), repr(float(m[i, j].imag))])
+            fh.write("n,m,value_re,value_im\r\n")
+            for i, row in enumerate(m):
+                fh.write("".join([
+                    f"{i},{j},{re!r},{im!r}\r\n"
+                    for j, (re, im) in enumerate(zip(row.real.tolist(), row.imag.tolist()))
+                ]))
     except OSError as exc:
         raise GrslabError(f"cannot write matrix to {path!r}: {exc}") from exc
 

@@ -1,6 +1,9 @@
+import collections
 import csv
+import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -203,6 +206,18 @@ class TestReportModule:
         values = sorted(float(r[2]) for r in rows[1:])
         assert values == [0.0, 0.0, 1.0, 1.0]
 
+    def test_matrix_csv_bytes_match_csv_writer(self, tmp_path):
+        m = np.array([[complex(-0.0, 5e-324), complex(1e300, -0.0)], [1.0 - 2.5j, complex(-1e300, 0.1)]])
+        path = tmp_path / "m.csv"
+        write_matrix_csv(m, str(path))
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["n", "m", "value_re", "value_im"])
+        for i in range(2):
+            for j in range(2):
+                writer.writerow([i, j, repr(float(m[i, j].real)), repr(float(m[i, j].imag))])
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
+
     def test_run_check_records_library_errors(self):
         from grslab.errors import DomainError
 
@@ -234,3 +249,33 @@ class TestNonFiniteValues:
     def test_run_check_rejects_non_finite(self):
         c = run_check("inf", 1.0, lambda: float("inf"))
         assert c.value is None and not c.passed and "non-finite" in c.error
+
+
+class TestScalingGuard:
+    def test_verify_does_no_pairwise_or_per_member_work(self, monkeypatch):
+        import grslab.grs
+        import grslab.krein
+
+        counts = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # callers look these up through their own module globals
+        for name, fn in (("weighted_inner", grslab.grs.weighted_inner),
+                         ("to_samples", grslab.krein.to_samples)):
+            wrapper = counted(name, fn)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("grslab") and getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, wrapper)
+
+        calls = {}
+        for n in (16, 32):
+            counts.clear()
+            assert main(["verify", "example1", "--n", str(n)]) == 0
+            calls[n] = dict(counts)
+        assert calls[16].get("weighted_inner", 0) == 0 and calls[32].get("weighted_inner", 0) == 0
+        assert calls[32].get("to_samples", 0) <= 2.5 * calls[16].get("to_samples", 0)

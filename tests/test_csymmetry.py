@@ -11,6 +11,7 @@ from grslab import (
     NotJOrthonormalError,
     StructureError,
     apply_c,
+    apply_exp_q,
     build_system,
     c_inner,
     classify_type,
@@ -253,6 +254,21 @@ class TestExpansion:
         r8 = expansion_residual(shifted_sys32, c_op, probe, 8)
         r32 = expansion_residual(shifted_sys32, c_op, probe, 32)
         assert r32 < r8
+
+    @pytest.mark.parametrize("fixture", ["shifted_sys", "perturbed_sys"])
+    def test_matches_member_loop(self, fixture, request, rng):
+        sys_ = request.getfixturevalue(fixture)
+        c_op = make_c_symmetry(sys_.q, sys_.rule)
+        r, w = sys_.rule, sys_.rule.dx_weights
+        signs = np.array(sign_sequence(sys_))
+        for f in span_functions(sys_, 3, rng):
+            alphas = signs * (np.conj(sys_.phi_samples) @ (w * to_samples(f, r).samples[::-1]))
+            for m in (4, sys_.n):
+                u = to_samples(apply_exp_q(sys_.q, -0.5, f, r), r).samples.copy()
+                for n in range(m):
+                    u -= alphas[n] * to_samples(apply_exp_q(sys_.q, -0.5, sys_.phi[n], r), r).samples
+                want = math.sqrt(abs(np.sum(w * np.abs(u) ** 2)))
+                assert expansion_residual(sys_, c_op, f, m) == pytest.approx(want, abs=1e-14)
 
     def test_needs_first_type(self, example1_sys, shifted_c):
         with pytest.raises(StructureError):

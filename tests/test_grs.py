@@ -5,6 +5,7 @@ import pytest
 
 from grslab import (
     CoefficientRep,
+    apply_exp_q,
     DiagonalHermite,
     DomainError,
     Multiplication,
@@ -22,6 +23,7 @@ from grslab import (
     to_samples,
     truncated,
     unit_vector,
+    weighted_gram,
     weighted_inner,
     weighted_product,
 )
@@ -63,11 +65,29 @@ class TestBuild:
         with pytest.raises(DomainError):
             build_system(diag_sys.q, BASIS, 17)
 
-    def test_domain_gate_names_offender(self):
-        grow = Multiplication("(pow x 2)")
+    @pytest.mark.parametrize(
+        "symbol, n, named",
+        [
+            ("(pow x 2)", 4, "basis member 0: exp(+0.5 Q) mass escapes the window (score 0.855"),
+            ("(scale 0.9 (pow x 2))", 24, "basis member 8: exp(+0.5 Q) mass escapes the window (score 0.844"),
+            # exp(+Q/2) overflows on the window: the MagnitudeError scores 0
+            ("(pow x 4)", 40, "basis member 0: exp(+0.5 Q) mass escapes the window (score 0.000"),
+        ],
+        ids=["x2", "slow_gaussian", "overflow"],
+    )
+    def test_domain_gate_names_offender(self, symbol, n, named):
         with pytest.raises(DomainError) as err:
-            build_system(grow, BASIS, 4)
-        assert "member 0" in str(err.value)
+            build_system(Multiplication(symbol), hermite_basis(max(n, BASIS.size)), n)
+        assert named in str(err.value)
+
+    @pytest.mark.parametrize("fixture", ["shifted_sys", "example1_sys", "perturbed_sys", "diag_sys"])
+    def test_tables_equal_member_samples(self, fixture, request):
+        sys_ = request.getfixturevalue(fixture)
+        for t, reps, table in ((0.5, sys_.phi, sys_.phi_samples), (-0.5, sys_.psi, sys_.psi_samples)):
+            members = [apply_exp_q(sys_.q, t, unit_vector(sys_.basis, k), sys_.rule) for k in range(sys_.n)]
+            assert [type(r) for r in reps] == [type(m) for m in members]
+            rows = np.vstack([to_samples(m, sys_.rule).samples for m in members])
+            assert np.array_equal(table, rows)
 
     def test_build_records_quality(self, shifted_sys):
         assert shifted_sys.min_decay_score >= 0.9
@@ -161,6 +181,25 @@ class TestWeightedInner:
         for family, sign in ((sys_.phi, -1), (sys_.psi, 1)):
             g = gram_matrix(list(family), weighted_product(sys_.q, sign, sys_.rule))
             assert np.max(np.abs(g - np.eye(sys_.n))) <= 1e-8
+
+    @pytest.mark.parametrize("fixture", ["shifted_sys", "example1_sys", "perturbed_sys", "diag_sys"])
+    @pytest.mark.parametrize("which, sign", [("phi", -1), ("psi", 1), ("phi", 1)])
+    def test_weighted_gram_matches_pairwise(self, fixture, which, sign, request):
+        sys_ = request.getfixturevalue(fixture)
+        family = list(sys_.phi if which == "phi" else sys_.psi)
+        want = gram_matrix(family, weighted_product(sys_.q, sign, sys_.rule))
+        got = weighted_gram(sys_, which, sign)
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+    def test_weighted_gram_exact_for_translation(self, shifted_sys):
+        assert np.array_equal(weighted_gram(shifted_sys, "phi", -1), np.eye(shifted_sys.n))
+        assert np.array_equal(weighted_gram(shifted_sys, "psi", 1), np.eye(shifted_sys.n))
+
+    def test_weighted_gram_validation(self, diag_sys):
+        with pytest.raises(DomainError):
+            weighted_gram(diag_sys, "phi", 2)
+        with pytest.raises(DomainError):
+            weighted_gram(diag_sys, "e", 1)
 
     def test_zero_generator_reduces_to_inner(self):
         q = DiagonalHermite((0.0,) * 16)
