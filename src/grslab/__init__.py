@@ -68,20 +68,10 @@ from .grs import (
     weighted_inner,
     weighted_product,
 )
-from .hamiltonian import (
-    DifferentialHamiltonian,
-    SpectralHamiltonian,
-    apply_spectral,
-    eigen_residual,
-    fd_apply,
-    fd_matrix,
-    spectral_coefficients,
-)
+from .hamiltonian import DifferentialHamiltonian, eigen_residual, fd_apply, fd_matrix
 from .krein import (
-    PARITY,
     CoefficientRep,
     FunctionRep,
-    FundamentalSymmetryJ,
     SampleRep,
     apply_parity,
     evaluate,
@@ -94,15 +84,14 @@ from .krein import (
     unit_vector,
 )
 from .metric_ops import (
-    DiagonalHermite,
     MetricOperatorQ,
     Multiplication,
     ParityAnticommutation,
     TranslationGenerator,
     anticommutes_with_parity,
     apply_exp_q,
-    domain_decay_score,
+    decay_scores,
 )
-from .specfun import Hyp2F1Terminating, hermite_poly, hyp2f1_terminating, log_gamma
+from .specfun import Hyp2F1Terminating, hyp2f1_terminating, log_gamma
 
 __version__ = "0.1.0"

@@ -75,12 +75,10 @@ class QuadratureRule:
         """True when the nodes are exactly antisymmetric about 0."""
         return bool(np.array_equal(self.nodes, -self.nodes[::-1]))
 
-    def integrate(self, values: np.ndarray) -> complex:
-        """Integral of a function given by its samples at the nodes (dx sense)."""
-        values = np.asarray(values)
-        if values.shape != self.nodes.shape:
-            raise StructureError("sample count does not match the rule")
-        return complex(np.sum(self.dx_weights * values))
+    def norm(self, values: np.ndarray):
+        """L2 norm sqrt(int |f|^2 dx) of a sampled function, or of each row of
+        a table of them (dx sense)."""
+        return np.sqrt(np.abs(np.sum(self.dx_weights * np.abs(values) ** 2, axis=-1)))
 
 
 def gauss_hermite_rule(order: int, scale: float = 1.0) -> QuadratureRule:

@@ -30,9 +30,9 @@ import numpy as np
 
 from . import symfun
 from .basis import (
-    BasisSet,
     anharmonic_eigenbasis,
     gauss_hermite_rule,
+    hermite_basis,
     hermite_function_table,
     uniform_trapezoid_rule,
 )
@@ -88,7 +88,7 @@ class ExampleSpec:
 def make_example(spec: ExampleSpec) -> BiorthogonalSystem:
     """Build the requested system; bit-identical for identical specs."""
     if spec.id == "shifted_ho":
-        basis = _hermite_basis(spec.n)
+        basis = hermite_basis(spec.n)
         return build_system(
             TranslationGenerator(spec.a),
             basis,
@@ -96,7 +96,7 @@ def make_example(spec: ExampleSpec) -> BiorthogonalSystem:
             quad_order=spec.quad_order,
         )
     if spec.id == "example1":
-        basis = _hermite_basis(spec.n)
+        basis = hermite_basis(spec.n)
         return build_system(
             Multiplication(EXAMPLE1_Q_SOURCE),
             basis,
@@ -113,12 +113,6 @@ def make_example(spec: ExampleSpec) -> BiorthogonalSystem:
     basis = anharmonic_eigenbasis(spec.beta, grid, spec.n)
     q_op = Multiplication(f"(scale 2 {spec.p})")
     return build_system(q_op, basis, spec.n, rule=grid)
-
-
-def _hermite_basis(n: int) -> BasisSet:
-    from .basis import hermite_basis
-
-    return hermite_basis(n)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from .csymmetry import (
     krein_gram,
     make_c_symmetry,
     partner_check,
+    sampled_product,
 )
 from .errors import GrslabError
 from .grs import (
@@ -55,7 +56,7 @@ from .grs import (
     weighted_gram,
 )
 from .hamiltonian import eigen_residual, fd_matrix
-from .krein import CoefficientRep, FunctionRep, krein_inner, lincomb, to_samples
+from .krein import CoefficientRep, FunctionRep, lincomb, to_samples
 from .report import (
     Check,
     VerificationReport,
@@ -134,10 +135,6 @@ def span_functions(
     return out
 
 
-def _krein_pair(sys_rule, f: FunctionRep, g: FunctionRep) -> complex:
-    return krein_inner(to_samples(f, sys_rule), to_samples(g, sys_rule))
-
-
 # ---------------------------------------------------------------------------
 # individual defect numbers
 # ---------------------------------------------------------------------------
@@ -183,6 +180,9 @@ def c_metric_consistency_defect(
     and the fundamental-split form, plus the split sign conditions."""
     from .grs import weighted_inner
 
+    def krein(f: FunctionRep, g: FunctionRep) -> complex:
+        return sampled_product(sys.rule, f, g, indefinite=True)
+
     worst = 0.0
     pairs = [(funcs[i], funcs[(i + 1) % len(funcs)]) for i in range(min(3, len(funcs)))]
     for f, g in pairs:
@@ -190,10 +190,10 @@ def c_metric_consistency_defect(
         v2 = weighted_inner(sys.q, -1, f, g, sys.rule)
         fp, fm = fundamental_split(c_op, f)
         gp, gm = fundamental_split(c_op, g)
-        v3 = _krein_pair(sys.rule, fp, gp) - _krein_pair(sys.rule, fm, gm)
-        cross = abs(_krein_pair(sys.rule, fp, gm))
-        pos = max(0.0, -_krein_pair(sys.rule, fp, fp).real)
-        neg = max(0.0, _krein_pair(sys.rule, fm, fm).real)
+        v3 = krein(fp, gp) - krein(fm, gm)
+        cross = abs(krein(fp, gm))
+        pos = max(0.0, -krein(fp, fp).real)
+        neg = max(0.0, krein(fm, fm).real)
         worst = max(worst, abs(v1 - v2), abs(v1 - v3), cross, pos, neg)
     return worst
 
@@ -401,13 +401,18 @@ def _cmd_verify(args) -> int:
         return value
 
     n = take("n", dflt.DEFAULT_N, "DEFAULT_N")
-    quad_order = take("quad_order", None, "QUAD_ORDER_PAD")
+    # the uniform grid of perturbed-anharmonic has no Gauss order to set
+    quad_order = None if numeric else take("quad_order", None, "QUAD_ORDER_PAD")
     tol_biorth = take(
         "tol_biorth",
         dflt.TOL_BIORTH_NUMERIC if numeric else dflt.TOL_BIORTH,
         "TOL_BIORTH_NUMERIC" if numeric else "TOL_BIORTH",
     )
     tol_krein = take("tol_krein", dflt.TOL_KREIN, "TOL_KREIN")
+    for key, tol in (("tol_biorth", tol_biorth), ("tol_krein", tol_krein)):
+        # nan fails every check and inf passes every one
+        if not (math.isfinite(tol) and tol >= 0):
+            raise UsageError(f"{key} must be finite and non-negative, got {tol!r}")
     expect = take("expect", _EXPECTED[example], f"expected[{example}]")
     if expect not in _VERDICTS:
         raise UsageError(f"--expect must be one of {_VERDICTS}, got {expect!r}")

@@ -14,7 +14,6 @@ admissible generators), so the classifier only ever answers
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,15 +22,7 @@ from .basis import BasisSet, QuadratureRule
 from .defaults import PARITY_CHECK_TOL, TOL_KREIN
 from .errors import DomainError, NotJOrthonormalError, StructureError
 from .grs import BiorthogonalSystem, weighted_samples
-from .krein import (
-    CoefficientRep,
-    FunctionRep,
-    apply_parity,
-    inner,
-    krein_inner,
-    lincomb,
-    to_samples,
-)
+from .krein import FunctionRep, apply_parity, inner, krein_inner, lincomb, to_samples
 from .metric_ops import MetricOperatorQ, anticommutes_with_parity, apply_exp_q
 
 __all__ = [
@@ -45,6 +36,7 @@ __all__ = [
     "classify_type",
     "apply_c",
     "c_inner",
+    "sampled_product",
     "c_squared_residual",
     "jc_positivity_value",
     "fundamental_split",
@@ -91,14 +83,8 @@ class TypeClassification:
 # indefinite Gram machinery
 # ---------------------------------------------------------------------------
 
-def _is_exact_family(sys: BiorthogonalSystem) -> bool:
-    return all(isinstance(r, CoefficientRep) and r.shift == 0 for r in sys.phi)
-
-
 def krein_gram(sys: BiorthogonalSystem) -> np.ndarray:
-    """K[n, m] = [phi_n, phi_m]."""
-    if _is_exact_family(sys):
-        return np.array([[krein_inner(f, g) for g in sys.phi] for f in sys.phi])
+    """K[n, m] = [phi_n, phi_m] from the cached sample rows."""
     if not sys.rule.is_symmetric:
         raise StructureError("indefinite Gram needs a symmetric working grid")
     w = sys.rule.dx_weights
@@ -132,18 +118,11 @@ def sign_sequence(sys: BiorthogonalSystem, tol: float = TOL_KREIN) -> tuple[int,
 
 def partner_check(sys: BiorthogonalSystem, tol: float = TOL_KREIN) -> float:
     """max_n ||psi_n - delta_n J phi_n|| / ||psi_n|| on the working grid."""
-    signs = sign_sequence(sys, tol)
-    w = sys.rule.dx_weights
+    signs = np.array(sign_sequence(sys, tol))
     if not sys.rule.is_symmetric:
         raise StructureError("partner check needs a symmetric working grid")
-    worst = 0.0
-    for n in range(sys.n):
-        jphi = sys.phi_samples[n][::-1]
-        diff = sys.psi_samples[n] - signs[n] * jphi
-        num = math.sqrt(abs(np.sum(w * np.abs(diff) ** 2)))
-        den = math.sqrt(abs(np.sum(w * np.abs(sys.psi_samples[n]) ** 2)))
-        worst = max(worst, num / den)
-    return worst
+    diff = sys.psi_samples - signs[:, np.newaxis] * sys.phi_samples[:, ::-1]
+    return float(np.max(sys.rule.norm(diff) / sys.rule.norm(sys.psi_samples)))
 
 
 def parity_eigenvector_defect(basis: BasisSet) -> float:
@@ -189,38 +168,29 @@ def apply_c(c_op: CSymmetryOp, f: FunctionRep) -> FunctionRep:
     return apply_exp_q(c_op.q, 1.0, apply_parity(f), c_op.rule)
 
 
-def _pair(rule: QuadratureRule, f: FunctionRep, g: FunctionRep, indefinite: bool) -> complex:
-    """Hilbert or indefinite product after materializing on ``rule`` when needed."""
-    if (
-        isinstance(f, CoefficientRep)
-        and isinstance(g, CoefficientRep)
-        and f.shift == 0
-        and g.shift == 0
-    ):
-        return krein_inner(f, g) if indefinite else inner(f, g)
+def sampled_product(
+    rule: QuadratureRule, f: FunctionRep, g: FunctionRep, indefinite: bool = False
+) -> complex:
+    """<f, g>, or [f, g] when ``indefinite``, with both sampled on ``rule``."""
     fs, gs = to_samples(f, rule), to_samples(g, rule)
     return krein_inner(fs, gs) if indefinite else inner(fs, gs)
 
 
 def c_inner(c_op: CSymmetryOp, f: FunctionRep, g: FunctionRep) -> complex:
     """The positive inner product [C f, g] induced by the C-symmetry."""
-    return _pair(c_op.rule, apply_c(c_op, f), g, indefinite=True)
+    return sampled_product(c_op.rule, apply_c(c_op, f), g, indefinite=True)
 
 
 def c_squared_residual(c_op: CSymmetryOp, f: FunctionRep) -> float:
     """|| C(Cf) - f || / ||f|| on the working grid."""
     ccf = to_samples(apply_c(c_op, apply_c(c_op, f)), c_op.rule)
     fs = to_samples(f, c_op.rule)
-    w = c_op.rule.dx_weights
-    num = math.sqrt(abs(np.sum(w * np.abs(ccf.samples - fs.samples) ** 2)))
-    den = math.sqrt(abs(np.sum(w * np.abs(fs.samples) ** 2)))
-    return num / den
+    return float(c_op.rule.norm(ccf.samples - fs.samples) / c_op.rule.norm(fs.samples))
 
 
 def jc_positivity_value(c_op: CSymmetryOp, f: FunctionRep) -> float:
     """<J(Cf), f>, which must be strictly positive for nonzero f."""
-    z = _pair(c_op.rule, apply_parity(apply_c(c_op, f)), f, indefinite=False)
-    return float(z.real)
+    return float(sampled_product(c_op.rule, apply_parity(apply_c(c_op, f)), f).real)
 
 
 def fundamental_split(
@@ -266,4 +236,4 @@ def expansion_residual(
     alphas = np.array(signs[:m]) * (np.conj(sys.phi_samples[:m]) @ (w * f_rev))
     u = to_samples(apply_exp_q(sys.q, -0.5, f, sys.rule), sys.rule).samples
     u = u - alphas @ weighted_samples(sys, "phi", -1)[:m]
-    return math.sqrt(abs(np.sum(w * np.abs(u) ** 2)))
+    return float(sys.rule.norm(u))

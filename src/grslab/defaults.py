@@ -29,13 +29,9 @@ FD_MIN_POINTS = 500
 TOL_BIORTH = 1e-8               # biorthogonality defect, analytic bases
 TOL_BIORTH_NUMERIC = 1e-7       # same, numerically computed bases
 TOL_KREIN = 1e-6                # indefinite-orthonormality defect
-TOL_HERMITIAN = 1e-10           # Hermitian-symmetry assertions (absolute)
 TOL_ODDNESS = 1e-12             # max-norm oddness test for multiplication symbols
 TOL_PARTNER = 1e-8              # partner identity, analytic bases
 TOL_PARTNER_NUMERIC = 1e-7
-TOL_GROUP_LAW = 1e-9            # exp(Q/2)exp(Q/2) = exp(Q) and inverse law
-TOL_EXP_SYMMETRY = 1e-8         # <exp(Q/2)f, g> = <f, exp(Q/2)g>
-TOL_ANTICOMM_RESIDUAL = 1e-8    # J exp(-Q) f = exp(Q) J f evidence
 TOL_C_SQUARED = 1e-8
 TOL_SPLIT = 1e-8                # fundamental-split identities
 TOL_EXPANSION = 1e-8            # indefinite expansion residual on span functions
@@ -55,6 +51,3 @@ BOUNDARY_MASS = 1e-8            # relative boundary magnitude allowed in FD chec
 PARITY_CHECK_TOL = 1e-8         # numeric-eigenvector parity purity
 
 EXP_ARG_LIMIT = 700.0           # exp() argument beyond which doubles overflow
-
-#: name -> value registry used for settings traceability in reports
-NAMED = {k: v for k, v in list(globals().items()) if k.isupper()}

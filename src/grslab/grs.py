@@ -28,10 +28,8 @@ from .defaults import DECAY_THRESHOLD, QUAD_ORDER_PAD
 from .errors import DomainError, MagnitudeError, NumericError
 from .krein import CoefficientRep, FunctionRep, SampleRep, inner, to_samples, unit_vector
 from .metric_ops import (
-    DiagonalHermite,
     MetricOperatorQ,
     Multiplication,
-    TranslationGenerator,
     apply_exp_q,
     decay_scores,
     multiply_exp_q,
@@ -75,17 +73,12 @@ class BiorthogonalSystem:
     psi_samples: NDArray
     min_decay_score: float
     biorth_defect: float
-    signs: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         for name in ("phi_samples", "psi_samples"):
             a = np.ascontiguousarray(getattr(self, name))
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-
-def _coefficient_family(reps: Sequence[FunctionRep]) -> bool:
-    return all(isinstance(r, CoefficientRep) and r.shift == 0 for r in reps)
 
 
 #: exponents of the phi and psi families, in the order the decay gate checks them
@@ -107,6 +100,11 @@ def _member_table(
     return basis.table(rule)[:n]
 
 
+def _shift(sys: BiorthogonalSystem, which: str) -> complex:
+    """The argument shift every member of a translation family shares."""
+    return (sys.phi if which == "phi" else sys.psi)[0].shift
+
+
 def _moved_family(
     q_op: MetricOperatorQ, basis: BasisSet, n: int, t: float, rule: QuadratureRule
 ) -> tuple[tuple[FunctionRep, ...], np.ndarray]:
@@ -122,9 +120,7 @@ def _moved_family(
         table = np.ascontiguousarray(moved, dtype=complex)
         return tuple(SampleRep(rule, row) for row in table), table
     reps = tuple(apply_exp_q(q_op, t, unit_vector(basis, k), rule) for k in range(n))
-    if isinstance(q_op, TranslationGenerator):
-        return reps, _member_table(basis, n, rule, reps[0].shift)
-    return reps, np.vstack([to_samples(f, rule).samples for f in reps])
+    return reps, _member_table(basis, n, rule, reps[0].shift)
 
 
 def build_system(
@@ -147,19 +143,13 @@ def build_system(
         rule = working_rule(basis, quad_order or 2 * n + QUAD_ORDER_PAD)
 
     families = {}
-    if isinstance(q_op, DiagonalHermite):
-        # scored in coefficient space, member by member
-        scores = np.array(
-            [list(decay_scores(q_op, unit_vector(basis, k), rule).values()) for k in range(n)]
-        )
-    else:
-        scores = np.zeros((n, len(_HALVES)))
-        for j, t in enumerate(_HALVES):
-            try:
-                families[t] = _moved_family(q_op, basis, n, t, rule)
-            except MagnitudeError:
-                continue
-            scores[:, j] = 1.0 - outer_mass_fraction(families[t][1], rule)
+    scores = np.zeros((n, len(_HALVES)))
+    for j, t in enumerate(_HALVES):
+        try:
+            families[t] = _moved_family(q_op, basis, n, t, rule)
+        except MagnitudeError:
+            continue
+        scores[:, j] = 1.0 - outer_mass_fraction(families[t][1], rule)
     bad = np.argwhere(scores < decay_threshold)
     if bad.size:
         k, j = bad[0]
@@ -191,18 +181,9 @@ def build_system(
 # grams and defects
 # ---------------------------------------------------------------------------
 
-def _cross_gram(sys: BiorthogonalSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """G[n, m] = <a_n, b_m> from cached sample rows."""
-    w = sys.rule.dx_weights
-    return (a * w) @ np.conj(b.T)
-
-
 def biorthogonality_defect(sys: BiorthogonalSystem) -> float:
-    """max_{n,m} |<phi_n, psi_m> - delta_nm|."""
-    if _coefficient_family(sys.phi) and _coefficient_family(sys.psi):
-        g = np.array([[inner(f, g) for g in sys.psi] for f in sys.phi])
-    else:
-        g = _cross_gram(sys, sys.phi_samples, sys.psi_samples)
+    """max_{n,m} |<phi_n, psi_m> - delta_nm| from the cached sample rows."""
+    g = (sys.phi_samples * sys.rule.dx_weights) @ np.conj(sys.psi_samples.T)
     return float(np.max(np.abs(g - np.eye(sys.n))))
 
 
@@ -309,11 +290,11 @@ def weighted_product(
 def _weighted_rows(sys: BiorthogonalSystem, which: str, sign: int) -> tuple[np.ndarray, bool]:
     """exp(sign Q/2) applied to each phi or psi member, one row per member.
 
-    Multiplication acts pointwise on the cached table.  Other generators move
-    each member in its own representation (O(N) cheap actions); when every
-    result is an unshifted coefficient vector the rows are coefficients over
-    the basis and the flag is True, otherwise they are samples on the
-    working rule.
+    Multiplication acts pointwise on the cached table.  Translation moves
+    every member to one common shift: where that shift is zero the rows are
+    the members' unit coefficient vectors over the basis and the flag is
+    True (exact, no quadrature), otherwise they are the member table at the
+    shifted argument on the working rule.
     """
     if which not in ("phi", "psi"):
         raise DomainError(f"which must be phi or psi, got {which!r}")
@@ -322,14 +303,10 @@ def _weighted_rows(sys: BiorthogonalSystem, which: str, sign: int) -> tuple[np.n
     t = 0.5 * sign
     if isinstance(sys.q, Multiplication):
         return multiply_exp_q(sys.q, t, family_samples(sys, which), sys.rule), False
-    reps = sys.phi if which == "phi" else sys.psi
-    moved = [apply_exp_q(sys.q, t, r, sys.rule) for r in reps]
-    if _coefficient_family(moved):
-        rows = np.zeros((len(moved), sys.basis.size), dtype=complex)
-        for k, r in enumerate(moved):
-            rows[k, : r.coeffs.size] = r.coeffs
-        return rows, True
-    return np.vstack([to_samples(r, sys.rule).samples for r in moved]), False
+    shift = _shift(sys, which) + 2j * sys.q.a * t
+    if shift == 0:
+        return np.eye(sys.n, sys.basis.size, dtype=complex), True
+    return _member_table(sys.basis, sys.n, sys.rule, shift), False
 
 
 def weighted_gram(sys: BiorthogonalSystem, which: str, sign: int) -> np.ndarray:
@@ -373,14 +350,12 @@ def family_samples(
         if which == "psi":
             return np.asarray(sys.psi_samples)
         return sys.basis.table(sys.rule)[: sys.n]
-    table = sys.basis.table(rule)[: sys.n]  # StructureError for numeric bases
     if which == "e":
-        return table
-    t = 0.5 if which == "phi" else -0.5
+        return sys.basis.table(rule)[: sys.n]  # StructureError for numeric bases
     if isinstance(sys.q, Multiplication):
-        return np.exp(t * sys.q.values(rule.nodes)) * table
-    reps = sys.phi if which == "phi" else sys.psi
-    return np.vstack([to_samples(r, rule).samples for r in reps])
+        t = 0.5 if which == "phi" else -0.5
+        return np.exp(t * sys.q.values(rule.nodes)) * sys.basis.table(rule)[: sys.n]
+    return _member_table(sys.basis, sys.n, rule, _shift(sys, which))
 
 
 def truncated(sys: BiorthogonalSystem, m: int) -> BiorthogonalSystem:
@@ -396,6 +371,5 @@ def truncated(sys: BiorthogonalSystem, m: int) -> BiorthogonalSystem:
         psi=sys.psi[:m],
         phi_samples=np.array(sys.phi_samples[:m]),
         psi_samples=np.array(sys.psi_samples[:m]),
-        signs=sys.signs[:m] if sys.signs is not None else None,
     )
     return replace(cut, biorth_defect=biorthogonality_defect(cut))

@@ -1,10 +1,8 @@
-"""Non-self-adjoint Hamiltonians: spectral form and finite-difference form.
+"""Non-self-adjoint Hamiltonians in finite-difference form.
 
-The spectral form H f = sum_n lambda_n <f, psi_n> phi_n is defined directly
-by a biorthogonal system and known eigenvalues.  The differential forms are
-second-order central-difference discretizations on uniform grids with
-Dirichlet ends; they are verified through eigen-residuals of known
-eigenpairs, never by blind spectral recovery.
+The differential forms are second-order central-difference discretizations
+on uniform grids with Dirichlet ends; they are verified through
+eigen-residuals of known eigenpairs, never by blind spectral recovery.
 """
 
 from __future__ import annotations
@@ -18,15 +16,11 @@ from . import symfun
 from .basis import QuadratureRule
 from .defaults import BOUNDARY_MASS, FD_MIN_POINTS
 from .errors import DomainError, ResolutionError, StructureError
-from .grs import BiorthogonalSystem
-from .krein import FunctionRep, SampleRep, to_samples
+from .krein import to_samples
 
 __all__ = [
-    "SpectralHamiltonian",
     "DifferentialHamiltonian",
     "FD_KINDS",
-    "spectral_coefficients",
-    "apply_spectral",
     "fd_matrix",
     "fd_apply",
     "eigen_residual",
@@ -34,47 +28,6 @@ __all__ = [
 
 FD_KINDS = ("shifted_ho", "example1", "example1_adjoint", "perturbed_anharmonic", "anharmonic")
 
-
-@dataclass(frozen=True)
-class SpectralHamiltonian:
-    """H f = sum lambda_n <f, psi_n> phi_n (direction ``phi_psi``) or the
-    psi/phi-swapped counterpart (direction ``psi_phi``)."""
-
-    lambdas: tuple[complex, ...]
-    sys: BiorthogonalSystem
-    direction: str = "phi_psi"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lambdas", tuple(complex(v) for v in self.lambdas))
-        if len(self.lambdas) != self.sys.n:
-            raise StructureError(
-                f"need exactly {self.sys.n} eigenvalues, got {len(self.lambdas)}"
-            )
-        if self.direction not in ("phi_psi", "psi_phi"):
-            raise DomainError(f"direction must be phi_psi or psi_phi, got {self.direction!r}")
-
-
-def spectral_coefficients(h: SpectralHamiltonian, f: FunctionRep) -> np.ndarray:
-    """The expansion coefficients lambda_n <f, psi_n> (dual family swapped
-    for direction ``psi_phi``)."""
-    sys = h.sys
-    w = sys.rule.dx_weights
-    fs = to_samples(f, sys.rule).samples
-    dual = sys.psi_samples if h.direction == "phi_psi" else sys.phi_samples
-    pair = np.conj(dual) @ (w * fs)  # <f, dual_n>
-    return np.asarray(h.lambdas) * pair
-
-
-def apply_spectral(h: SpectralHamiltonian, f: FunctionRep) -> SampleRep:
-    """Apply the truncated spectral Hamiltonian, materialized on the working rule."""
-    coeffs = spectral_coefficients(h, f)
-    family = h.sys.phi_samples if h.direction == "phi_psi" else h.sys.psi_samples
-    return SampleRep(h.sys.rule, coeffs @ family)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference realizations
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DifferentialHamiltonian:
@@ -204,30 +157,3 @@ def eigen_residual(hd: DifferentialHamiltonian, f, lam: complex) -> float:
     r = (fd_apply(hd, v) - lam * v)[1:-1]
     return float(np.linalg.norm(r) / np.linalg.norm(v[1:-1]))
 
-
-def spectral_metric_symmetry_defect(
-    h: SpectralHamiltonian,
-    c: np.ndarray,
-    d: np.ndarray,
-) -> float:
-    """|<Hf, g>_w - <f, Hg>_w| for f = sum c_n phi_n, g = sum d_n phi_n.
-
-    The weighted product with negative sign turns exp(-Q/2) phi_n back into
-    e_n, so on the phi span both sides reduce to coefficient sums; the
-    Hamiltonian coefficients themselves still come from quadrature.  Real
-    eigenvalues make the two sides agree up to truncation defects.
-    """
-    if h.direction != "phi_psi":
-        raise DomainError("metric symmetry is stated for the phi_psi direction")
-    sys = h.sys
-    c = np.asarray(c, dtype=complex)
-    d = np.asarray(d, dtype=complex)
-    if c.size != sys.n or d.size != sys.n:
-        raise StructureError(f"span coefficients must have length {sys.n}")
-    f = SampleRep(sys.rule, c @ sys.phi_samples)
-    g = SampleRep(sys.rule, d @ sys.phi_samples)
-    alpha = spectral_coefficients(h, f)  # Hf = sum alpha_n phi_n
-    beta = spectral_coefficients(h, g)
-    left = np.sum(alpha * np.conj(d))
-    right = np.sum(c * np.conj(beta))
-    return float(abs(left - right))

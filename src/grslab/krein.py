@@ -27,8 +27,6 @@ __all__ = [
     "CoefficientRep",
     "SampleRep",
     "FunctionRep",
-    "FundamentalSymmetryJ",
-    "PARITY",
     "unit_vector",
     "evaluate",
     "to_samples",
@@ -39,25 +37,6 @@ __all__ = [
     "norm",
     "gram_matrix",
 ]
-
-
-@dataclass(frozen=True)
-class FundamentalSymmetryJ:
-    """A bounded self-adjoint involution; only parity is wired in.
-
-    The kind tag exists so other involutions could be added without touching
-    the call sites.
-    """
-
-    kind: str = "parity"
-
-    def __post_init__(self) -> None:
-        if self.kind != "parity":
-            raise StructureError(f"unsupported fundamental symmetry {self.kind!r}")
-
-
-#: module-wide fundamental symmetry (all products below use it)
-PARITY = FundamentalSymmetryJ()
 
 
 @dataclass(frozen=True)

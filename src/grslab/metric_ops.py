@@ -1,14 +1,12 @@
 """Concrete metric generators Q and the exact action of exp(tQ).
 
-Three variants cover every system in the catalog:
+Two variants cover every system in the catalog:
 
 * ``Multiplication`` -- Q is multiplication by a real symbol q(x) from the
   closed grammar of :mod:`grslab.symfun`; exp(tQ) acts pointwise.
 * ``TranslationGenerator`` -- Q = 2ia d/dx; exp(tQ) translates the argument
   by 2iat, realized exactly by evaluating an analytic Hermite expansion at
   the shifted complex argument (no projection, no aliasing).
-* ``DiagonalHermite`` -- Q e_n = q_n e_n, a synthetic variant for exact
-  oracle tests; exp(tQ) scales coefficients.
 
 Only the exponents t in {+-1, +-1/2} are supported; those are the only
 powers the factored inner products and partner constructions ever use.
@@ -37,14 +35,12 @@ from .krein import CoefficientRep, FunctionRep, SampleRep, apply_parity, to_samp
 __all__ = [
     "Multiplication",
     "TranslationGenerator",
-    "DiagonalHermite",
     "MetricOperatorQ",
     "ParityAnticommutation",
     "ALLOWED_EXPONENTS",
     "apply_exp_q",
     "multiply_exp_q",
     "anticommutes_with_parity",
-    "domain_decay_score",
     "decay_scores",
     "outer_mass_fraction",
 ]
@@ -62,10 +58,6 @@ class Multiplication:
     def __post_init__(self) -> None:
         if self.expr is None:
             object.__setattr__(self, "expr", symfun.parse(self.source))
-
-    @classmethod
-    def from_string(cls, text: str) -> "Multiplication":
-        return cls(text)
 
     def values(self, x: np.ndarray) -> np.ndarray:
         return symfun.eval_values(self.expr, x)
@@ -90,20 +82,7 @@ class TranslationGenerator:
             )
 
 
-@dataclass(frozen=True)
-class DiagonalHermite:
-    """Q e_n = q_n e_n with a finite real sequence q."""
-
-    q: tuple
-
-    def __post_init__(self) -> None:
-        q = tuple(float(v) for v in self.q)
-        if len(q) == 0 or not all(math.isfinite(v) for v in q):
-            raise DomainError("diagonal symbol must be a nonempty finite real sequence")
-        object.__setattr__(self, "q", q)
-
-
-MetricOperatorQ = Union[Multiplication, TranslationGenerator, DiagonalHermite]
+MetricOperatorQ = Union[Multiplication, TranslationGenerator]
 
 
 def working_rule(basis: BasisSet, order: int | None = None) -> QuadratureRule:
@@ -139,21 +118,10 @@ def apply_exp_q(
 
     Multiplication needs samples (coefficient input is resampled onto
     ``rule``, or onto the basis default when no rule is given); translation
-    needs an analytic coefficient representation; the diagonal variant needs
-    an unshifted coefficient representation.
+    needs an analytic coefficient representation.
     """
     if t not in ALLOWED_EXPONENTS:
         raise DomainError(f"exponent t must be one of {ALLOWED_EXPONENTS}, got {t!r}")
-
-    if isinstance(q_op, DiagonalHermite):
-        if not isinstance(f, CoefficientRep) or f.shift != 0:
-            raise StructureError("diagonal generators act on unshifted coefficient form")
-        if f.coeffs.size > len(q_op.q):
-            raise StructureError(
-                f"diagonal symbol has {len(q_op.q)} entries, function needs {f.coeffs.size}"
-            )
-        factors = _checked_exp(t * np.asarray(q_op.q[: f.coeffs.size]))
-        return CoefficientRep(f.basis, factors * f.coeffs)
 
     if isinstance(q_op, TranslationGenerator):
         if not (isinstance(f, CoefficientRep) and f.basis.is_analytic):
@@ -162,11 +130,8 @@ def apply_exp_q(
             )
         return CoefficientRep(f.basis, f.coeffs, f.shift + 2j * q_op.a * t)
 
-    if isinstance(q_op, Multiplication):
-        g = to_samples(f, _resolve_rule(f, rule))
-        return SampleRep(g.rule, multiply_exp_q(q_op, t, g.samples, g.rule))
-
-    raise StructureError(f"unknown metric generator {type(q_op).__name__}")
+    g = to_samples(f, _resolve_rule(f, rule))
+    return SampleRep(g.rule, multiply_exp_q(q_op, t, g.samples, g.rule))
 
 
 def multiply_exp_q(
@@ -208,9 +173,7 @@ def _grid_evidence(q_op: Multiplication, rule: QuadratureRule) -> float:
     for v in tests:
         left = (ql * v)[::-1]
         right = qr * v[::-1]
-        num = math.sqrt(abs(np.sum(rule.dx_weights * np.abs(left - right) ** 2)))
-        den = math.sqrt(abs(np.sum(rule.dx_weights * np.abs(v) ** 2)))
-        worst = max(worst, num / den)
+        worst = max(worst, float(rule.norm(left - right) / rule.norm(v)))
     return worst
 
 
@@ -224,17 +187,9 @@ def _translation_evidence(q_op: TranslationGenerator, rule: QuadratureRule) -> f
         f = unit_vector(basis, n)
         left = to_samples(apply_parity(apply_exp_q(q_op, -1.0, f)), rule)
         right = to_samples(apply_exp_q(q_op, 1.0, apply_parity(f)), rule)
-        num = math.sqrt(abs(np.sum(rule.dx_weights * np.abs(left.samples - right.samples) ** 2)))
-        den = math.sqrt(abs(np.sum(rule.dx_weights * np.abs(right.samples) ** 2)))
-        worst = max(worst, num / max(den, 1e-300))
+        num = float(rule.norm(left.samples - right.samples))
+        worst = max(worst, num / max(float(rule.norm(right.samples)), 1e-300))
     return worst
-
-
-def _diagonal_evidence(q_op: DiagonalHermite) -> float:
-    q = np.asarray(q_op.q)
-    c = np.full(q.size, 1.0 / math.sqrt(q.size))
-    gap = (_checked_exp(-q) - _checked_exp(q)) * c
-    return float(np.linalg.norm(gap))
 
 
 def anticommutes_with_parity(
@@ -246,59 +201,35 @@ def anticommutes_with_parity(
 
     Multiplication anticommutes exactly when its symbol is odd (checked to
     ``tol`` on the rule nodes); translation generators anticommute
-    structurally (parity conjugates d/dx to -d/dx); a diagonal generator
-    commutes instead, so only q = 0 passes.  The evidence is the worst
-    relative residual of J exp(-Q) f = exp(Q) J f over a small test family
-    and is infinite when that computation overflows.
+    structurally (parity conjugates d/dx to -d/dx).  The evidence is the
+    worst relative residual of J exp(-Q) f = exp(Q) J f over a small test
+    family and is infinite when that computation overflows.
     """
-    if isinstance(q_op, Multiplication):
-        r = _evidence_rule(rule)
-        verdict = "yes" if symfun.is_odd_on(q_op.expr, r.nodes, tol) else "no"
-        try:
-            evidence = _grid_evidence(q_op, r)
-        except MagnitudeError:
-            evidence = math.inf
-        return ParityAnticommutation(verdict, evidence)
+    r = _evidence_rule(rule)
     if isinstance(q_op, TranslationGenerator):
-        try:
-            evidence = _translation_evidence(q_op, _evidence_rule(rule))
-        except MagnitudeError:
-            evidence = math.inf
-        return ParityAnticommutation("yes", evidence)
-    if isinstance(q_op, DiagonalHermite):
-        verdict = "yes" if all(v == 0.0 for v in q_op.q) else "no"
-        try:
-            evidence = _diagonal_evidence(q_op)
-        except MagnitudeError:
-            evidence = math.inf
-        return ParityAnticommutation(verdict, evidence)
-    raise StructureError(f"unknown metric generator {type(q_op).__name__}")
+        verdict, evidence_of = "yes", _translation_evidence
+    else:
+        verdict = "yes" if symfun.is_odd_on(q_op.expr, r.nodes, tol) else "no"
+        evidence_of = _grid_evidence
+    try:
+        evidence = evidence_of(q_op, r)
+    except MagnitudeError:
+        evidence = math.inf
+    return ParityAnticommutation(verdict, evidence)
 
 
 # ---------------------------------------------------------------------------
 # domain-decay heuristic
 # ---------------------------------------------------------------------------
 
-def _mass_fraction_outer(g: FunctionRep, rule: QuadratureRule | None) -> float:
-    """Fraction of L2 mass in the outer 10% of the grid (or the last 10% of
-    coefficient slots for unshifted coefficient form)."""
-    if isinstance(g, CoefficientRep) and g.shift == 0:
-        full = np.zeros(g.basis.size)
-        full[: g.coeffs.size] = np.abs(g.coeffs) ** 2
-        k = max(1, round(0.1 * g.basis.size))
-        total = float(np.sum(full))
-        return float(np.sum(full[-k:])) / total if total > 0 else 0.0
-    r = _resolve_rule(g, rule)
-    return float(outer_mass_fraction(to_samples(g, r).samples[np.newaxis], r)[0])
-
-
 def outer_mass_fraction(rows: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     """Per row of a sample table, the fraction of L2 mass on the outer 5% of
-    the nodes at each end (0 for a row without mass)."""
+    the nodes at each end (0 for a row without mass).  The two ends never
+    overlap, so each node counts once even on a rule of a few nodes."""
     mass = rule.dx_weights * np.abs(rows) ** 2
     k = max(1, round(0.05 * len(rule)))
     total = np.sum(mass, axis=1)
-    outer = np.sum(mass[:, :k], axis=1) + np.sum(mass[:, -k:], axis=1)
+    outer = np.sum(mass[:, :k], axis=1) + np.sum(mass[:, max(k, len(rule) - k):], axis=1)
     return np.divide(outer, total, out=np.zeros_like(total), where=total > 0)
 
 
@@ -307,26 +238,19 @@ def decay_scores(
     f: FunctionRep,
     rule: QuadratureRule | None = None,
 ) -> dict[float, float]:
-    """Per-sign decay scores for exp(+-Q/2) f; 0.0 when the action overflows."""
+    """Per-sign decay scores for exp(+-Q/2) f; 0.0 when the action overflows.
+
+    A score is 1 minus the outer-mass fraction of exp(tQ) f sampled on the
+    rule, a heuristic in [0, 1] for how safely f sits in the domain of
+    exp(tQ): values near 0 signal that it fails to decay inside the
+    truncated window.  No finite computation certifies domain membership.
+    """
     out = {}
     for t in (0.5, -0.5):
         try:
             g = apply_exp_q(q_op, t, f, rule)
-            out[t] = 1.0 - _mass_fraction_outer(g, rule)
+            r = _resolve_rule(g, rule)
+            out[t] = 1.0 - float(outer_mass_fraction(to_samples(g, r).samples[np.newaxis], r)[0])
         except MagnitudeError:
             out[t] = 0.0
     return out
-
-
-def domain_decay_score(
-    q_op: MetricOperatorQ,
-    f: FunctionRep,
-    rule: QuadratureRule | None = None,
-) -> float:
-    """Heuristic in [0, 1] for how safely f sits in both domains of exp(+-Q/2).
-
-    1 minus the worst outer-mass fraction over both signs; values near 0
-    signal that exp(+-Q/2) f fails to decay inside the truncated window.
-    A heuristic only: no finite computation certifies domain membership.
-    """
-    return min(decay_scores(q_op, f, rule).values())

@@ -1,9 +1,8 @@
 """Scalar special-function kernels.
 
-Log-gamma, the terminating Gauss hypergeometric series, and physicists'
-Hermite polynomials.  These are the only special functions the closed-form
-indefinite overlaps and the basis constructions need; everything is pure,
-reentrant and thread-safe.
+Log-gamma and the terminating Gauss hypergeometric series.  These are the
+only special functions the closed-form indefinite overlaps need; everything
+is pure, reentrant and thread-safe.
 """
 
 from __future__ import annotations
@@ -13,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import HERMITE_MAX_DEGREE
 from .errors import DomainError, MagnitudeError, PoleError
 
-__all__ = ["Hyp2F1Terminating", "log_gamma", "hyp2f1_terminating", "hermite_poly"]
+__all__ = ["Hyp2F1Terminating", "log_gamma", "hyp2f1_terminating"]
 
 
 def log_gamma(x: float) -> float:
@@ -80,28 +78,3 @@ def hyp2f1_terminating(p: Hyp2F1Terminating) -> float:
         raise MagnitudeError("terminating series left the representable range")
     return total
 
-
-def hermite_poly(n: int, z):
-    """Physicists' Hermite polynomial H_n(z) via the three-term recurrence.
-
-    H_{k+1} = 2 z H_k - 2 k H_{k-1},  H_0 = 1,  H_1 = 2z.
-
-    Accepts real or complex scalars and numpy arrays.  Raw H_n overflows for
-    extreme (n, |z|); that condition raises :class:`MagnitudeError` rather
-    than returning infinities.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"Hermite degree must be a nonnegative integer, got {n!r}")
-    if n > HERMITE_MAX_DEGREE:
-        raise DomainError(f"Hermite degree {n} exceeds configured max {HERMITE_MAX_DEGREE}")
-    zz = np.asarray(z)
-    h_prev = np.ones_like(zz, dtype=np.result_type(zz.dtype, np.float64))
-    if n == 0:
-        return h_prev[()]
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        h = 2.0 * zz * h_prev
-        for k in range(1, n):
-            h, h_prev = 2.0 * zz * h - 2.0 * k * h_prev, h
-    if not np.all(np.isfinite(h)):
-        raise MagnitudeError(f"H_{n} overflowed the double range at |z| ~ {np.max(np.abs(zz)):.3g}")
-    return h[()]

@@ -51,6 +51,14 @@ class TestGaussHermiteRule:
             scale = float(np.sum(r.weights * np.abs(r.nodes) ** k))
             assert abs(got) <= 1e-13 * max(scale, 1.0)
 
+    def test_norm_of_rows(self):
+        r = gauss_hermite_rule(40, 1.0)
+        table = hermite_function_table(9, r.nodes + 0.5j)
+        norms = r.norm(table)
+        assert norms.shape == (10,)
+        assert norms.tolist() == [r.norm(row) for row in table]
+        assert r.norm(table[0]) == pytest.approx(math.exp(0.125), rel=1e-14)
+
     def test_structure(self):
         r = gauss_hermite_rule(40, 2.0)
         assert np.all(np.diff(r.nodes) > 0)

@@ -104,6 +104,26 @@ class TestVerifyOthers:
         doc = read_json(path)
         assert all(c["pass"] for c in doc["checks"])
 
+    def test_perturbed_report_claims_no_quad_order(self, tmp_path):
+        # the uniform grid of perturbed-anharmonic has no Gauss order
+        path = tmp_path / "pa.json"
+        code = main([
+            "verify", "perturbed-anharmonic", "--n", "4", "--quad-order", "7",
+            "--json", str(path),
+        ])
+        assert code == 0
+        settings = read_json(path)["settings"]
+        assert settings["rule"] == {"kind": "uniform_trapezoid", "points": 2000}
+        assert "quad_order" not in settings["resolved"]
+        assert "quad_order" not in settings["sources"]
+
+    def test_one_node_rule_scores_zero(self, capsys):
+        # both 5% ends of a one-node rule are that node; counted once, all
+        # the mass is outer mass and the score is 0 (not -1)
+        assert main(["verify", "shifted-ho", "--quad-order", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "basis member 0: exp(+0.5 Q) mass escapes the window (score 0.000 < 0.9)" in err
+
     def test_failing_tolerance_writes_report_and_exits_one(self, tmp_path):
         path = tmp_path / "strict.json"
         code = main([
@@ -156,6 +176,16 @@ class TestUsageErrors:
     def test_bad_beta_is_usage_error(self):
         assert main(["verify", "perturbed-anharmonic", "--beta", "1.0", "--n", "4"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol-krein", "nan"), ("--tol-biorth", "-1"), ("--tol-krein", "inf")],
+        ids=["nan", "negative", "inf"],
+    )
+    def test_meaningless_tolerance_is_usage_error(self, flag, value, capsys):
+        # nan fails every check and inf passes every one
+        assert main(["verify", "shifted-ho", "--n", "4", flag, value]) == 2
+        assert "must be finite and non-negative" in capsys.readouterr().err
+
     def test_bad_expect_choice(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "example1", "--expect", "second_type"])
@@ -182,6 +212,12 @@ class TestConfigFile:
         cfg.write_text("omega = 3\n")
         monkeypatch.setenv("GRSLAB_CONFIG", str(cfg))
         assert main(["verify", "shifted-ho"]) == 2
+
+    def test_negative_tolerance_rejected(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text("tol_biorth = -1\n")
+        monkeypatch.setenv("GRSLAB_CONFIG", str(cfg))
+        assert main(["verify", "shifted-ho", "--n", "4"]) == 2
 
     def test_missing_file_rejected(self, monkeypatch):
         monkeypatch.setenv("GRSLAB_CONFIG", "/nonexistent/grslab.cfg")

@@ -6,7 +6,6 @@ import pytest
 
 from grslab import (
     CoefficientRep,
-    DiagonalHermite,
     Multiplication,
     NotJOrthonormalError,
     StructureError,
@@ -38,7 +37,7 @@ BASIS = hermite_basis(16)
 
 @pytest.fixture(scope="module")
 def zero_sys():
-    return build_system(DiagonalHermite((0.0,) * 16), BASIS, 8)
+    return build_system(Multiplication("(scale 0 x)"), BASIS, 8)
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +104,18 @@ class TestSignsAndPartner:
     def test_partner_perturbed(self, perturbed_sys):
         assert partner_check(perturbed_sys) <= 1e-7
 
+    @pytest.mark.parametrize("fixture", ["shifted_sys", "perturbed_sys"])
+    def test_partner_matches_member_loop(self, fixture, request):
+        sys_ = request.getfixturevalue(fixture)
+        w, signs = sys_.rule.dx_weights, sign_sequence(sys_)
+        worst = 0.0
+        for n in range(sys_.n):
+            diff = sys_.psi_samples[n] - signs[n] * sys_.phi_samples[n][::-1]
+            num = math.sqrt(abs(np.sum(w * np.abs(diff) ** 2)))
+            den = math.sqrt(abs(np.sum(w * np.abs(sys_.psi_samples[n]) ** 2)))
+            worst = max(worst, num / den)
+        assert partner_check(sys_) == worst
+
 
 class TestClassification:
     def test_shifted_first_type(self, shifted_sys):
@@ -148,7 +159,7 @@ class TestOperatorC:
         c_op = make_c_symmetry(zero_sys.q, zero_sys.rule)
         e0 = unit_vector(BASIS, 0)
         ce0 = apply_c(c_op, e0)
-        assert np.allclose(ce0.coeffs, e0.coeffs)
+        assert np.max(np.abs(ce0.samples - to_samples(e0, zero_sys.rule).samples)) == 0.0
 
     @pytest.mark.parametrize("fixture,cfix", [("shifted_sys", "shifted_c"), ("perturbed_sys", "perturbed_c")])
     def test_involution_on_random_span(self, fixture, cfix, rng, request):

@@ -6,7 +6,6 @@ import pytest
 from grslab import (
     CoefficientRep,
     apply_exp_q,
-    DiagonalHermite,
     DomainError,
     Multiplication,
     TranslationGenerator,
@@ -33,18 +32,11 @@ BASIS = hermite_basis(16)
 
 
 @pytest.fixture(scope="module")
-def diag_sys():
-    q = DiagonalHermite(tuple(0.2 * k for k in range(16)))
-    return build_system(q, BASIS, 8)
+def zero_sys():
+    return build_system(Multiplication("(scale 0 x)"), BASIS, 8)
 
 
 class TestBuild:
-    def test_diagonal_action_exact(self, diag_sys):
-        for n in range(diag_sys.n):
-            phi_n = diag_sys.phi[n]
-            assert isinstance(phi_n, CoefficientRep)
-            assert phi_n.coeffs[n] == pytest.approx(math.exp(0.1 * n), rel=1e-15)
-
     def test_translation_members_are_shifted_members(self, shifted_sys):
         # phi_n(x) = e_n(x + ia), sampled anywhere
         x = np.linspace(-2, 2, 7)
@@ -61,9 +53,9 @@ class TestBuild:
             got = np.asarray(example1_sys.psi_samples[n])
             assert np.max(np.abs(got - want)) < 1e-12
 
-    def test_truncation_bounds(self, diag_sys):
+    def test_truncation_bounds(self, zero_sys):
         with pytest.raises(DomainError):
-            build_system(diag_sys.q, BASIS, 17)
+            build_system(zero_sys.q, BASIS, 17)
 
     @pytest.mark.parametrize(
         "symbol, n, named",
@@ -80,7 +72,7 @@ class TestBuild:
             build_system(Multiplication(symbol), hermite_basis(max(n, BASIS.size)), n)
         assert named in str(err.value)
 
-    @pytest.mark.parametrize("fixture", ["shifted_sys", "example1_sys", "perturbed_sys", "diag_sys"])
+    @pytest.mark.parametrize("fixture", ["shifted_sys", "example1_sys", "perturbed_sys"])
     def test_tables_equal_member_samples(self, fixture, request):
         sys_ = request.getfixturevalue(fixture)
         for t, reps, table in ((0.5, sys_.phi, sys_.phi_samples), (-0.5, sys_.psi, sys_.psi_samples)):
@@ -95,8 +87,8 @@ class TestBuild:
 
 
 class TestBiorthogonality:
-    def test_diagonal_exact(self, diag_sys):
-        assert biorthogonality_defect(diag_sys) <= 1e-14
+    def test_zero_generator_exact(self, zero_sys):
+        assert biorthogonality_defect(zero_sys) <= 1e-14
 
     def test_shifted(self, shifted_sys):
         assert biorthogonality_defect(shifted_sys) <= 1e-8
@@ -109,9 +101,9 @@ class TestBiorthogonality:
 
 
 class TestQuasiBasisResolution:
-    def test_single_term_exact(self, diag_sys):
+    def test_single_term_exact(self, zero_sys):
         e0 = unit_vector(BASIS, 0)
-        d1, d2 = gq_basis_defect(diag_sys, e0, e0)
+        d1, d2 = gq_basis_defect(zero_sys, e0, e0)
         assert d1 <= 1e-13 and d2 <= 1e-13
 
     def test_orthogonal_pair_reproduced(self, shifted_sys):
@@ -161,9 +153,9 @@ class TestG0QuadraticForm:
             assert q > 0.0
             assert abs(s - q) <= 1e-7 * max(1.0, s)
 
-    def test_length_validation(self, diag_sys):
+    def test_length_validation(self, zero_sys):
         with pytest.raises(DomainError):
-            g0_quadratic_check(diag_sys, np.ones(diag_sys.n + 1))
+            g0_quadratic_check(zero_sys, np.ones(zero_sys.n + 1))
 
 
 class TestWeightedInner:
@@ -182,7 +174,7 @@ class TestWeightedInner:
             g = gram_matrix(list(family), weighted_product(sys_.q, sign, sys_.rule))
             assert np.max(np.abs(g - np.eye(sys_.n))) <= 1e-8
 
-    @pytest.mark.parametrize("fixture", ["shifted_sys", "example1_sys", "perturbed_sys", "diag_sys"])
+    @pytest.mark.parametrize("fixture", ["shifted_sys", "example1_sys", "perturbed_sys"])
     @pytest.mark.parametrize("which, sign", [("phi", -1), ("psi", 1), ("phi", 1)])
     def test_weighted_gram_matches_pairwise(self, fixture, which, sign, request):
         sys_ = request.getfixturevalue(fixture)
@@ -195,25 +187,28 @@ class TestWeightedInner:
         assert np.array_equal(weighted_gram(shifted_sys, "phi", -1), np.eye(shifted_sys.n))
         assert np.array_equal(weighted_gram(shifted_sys, "psi", 1), np.eye(shifted_sys.n))
 
-    def test_weighted_gram_validation(self, diag_sys):
+    def test_weighted_gram_validation(self, zero_sys):
         with pytest.raises(DomainError):
-            weighted_gram(diag_sys, "phi", 2)
+            weighted_gram(zero_sys, "phi", 2)
         with pytest.raises(DomainError):
-            weighted_gram(diag_sys, "e", 1)
+            weighted_gram(zero_sys, "e", 1)
 
-    def test_zero_generator_reduces_to_inner(self):
-        q = DiagonalHermite((0.0,) * 16)
+    def test_zero_generator_reduces_to_inner(self, zero_sys):
+        # exp(0) = 1 exactly, so the weighted product is the plain product of
+        # the sampled functions bit for bit
         f = CoefficientRep(BASIS, np.array([0.5, 0.25j, -1.0]))
         g = CoefficientRep(BASIS, np.array([1.0, 1.0, 1.0]))
         from grslab import inner
 
-        assert weighted_inner(q, 1, f, g) == pytest.approx(inner(f, g), abs=1e-15)
-        assert weighted_inner(q, -1, f, g) == pytest.approx(inner(f, g), abs=1e-15)
+        rule = zero_sys.rule
+        plain = inner(to_samples(f, rule), to_samples(g, rule))
+        assert weighted_inner(zero_sys.q, 1, f, g, rule) == plain
+        assert weighted_inner(zero_sys.q, -1, f, g, rule) == plain
 
-    def test_sign_validation(self, diag_sys):
+    def test_sign_validation(self, zero_sys):
         f = unit_vector(BASIS, 0)
         with pytest.raises(DomainError):
-            weighted_inner(diag_sys.q, 2, f, f)
+            weighted_inner(zero_sys.q, 2, f, f)
 
 
 class TestRoundTrip:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from grslab import (
     CoefficientRep,
-    FundamentalSymmetryJ,
     SampleRep,
     StructureError,
     apply_parity,
@@ -31,11 +30,6 @@ def coeff(values) -> CoefficientRep:
 
 
 class TestFundamentalSymmetry:
-    def test_only_parity(self):
-        assert FundamentalSymmetryJ().kind == "parity"
-        with pytest.raises(StructureError):
-            FundamentalSymmetryJ("conjugation")
-
     def test_parity_on_unit_vectors(self):
         e3 = unit_vector(BASIS, 3)
         je3 = apply_parity(e3)

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from grslab import (
     DomainError,
     Hyp2F1Terminating,
-    MagnitudeError,
     PoleError,
-    hermite_poly,
     hyp2f1_terminating,
     log_gamma,
 )
@@ -78,42 +76,3 @@ class TestHyp2F1Terminating:
         with pytest.raises(DomainError):
             Hyp2F1Terminating(-1, 1.0, 1.0, 0.0)
 
-
-class TestHermitePoly:
-    def test_degree_zero(self):
-        assert hermite_poly(0, 3.7) == 1.0
-        assert hermite_poly(0, 2.0 + 1.0j) == 1.0
-
-    def test_degree_one(self):
-        x = np.linspace(-3, 3, 11)
-        assert np.allclose(hermite_poly(1, x), 2 * x)
-
-    def test_symbolic_cubic_oracle(self):
-        # H_3(x) = 8x^3 - 12x, so H_3(2) = 64 - 24 = 40
-        assert 8 * 2.0**3 - 12 * 2.0 == 40.0
-        assert hermite_poly(3, 2.0) == pytest.approx(40.0, rel=1e-14)
-
-    def test_recurrence_consistency(self, rng):
-        xs = rng.uniform(-5, 5, size=100)
-        for n in range(1, 41):
-            lhs = hermite_poly(n + 1, xs)
-            rhs = 2 * xs * hermite_poly(n, xs) - 2 * n * hermite_poly(n - 1, xs)
-            scale = np.maximum(np.abs(lhs), 1.0)
-            assert np.max(np.abs(lhs - rhs) / scale) < 1e-12
-
-    @given(n=st.integers(0, 30), x=st.floats(-5, 5, allow_nan=False))
-    @settings(max_examples=60, deadline=None)
-    def test_parity(self, n, x):
-        a = hermite_poly(n, -x)
-        b = (-1) ** n * hermite_poly(n, x)
-        assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
-
-    def test_overflow_is_an_error(self):
-        with pytest.raises(MagnitudeError):
-            hermite_poly(400, 50.0)
-
-    def test_degree_cap(self):
-        with pytest.raises(DomainError):
-            hermite_poly(513, 0.0)
-        with pytest.raises(DomainError):
-            hermite_poly(-2, 0.0)
