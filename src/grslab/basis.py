@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .defaults import GRID_MARGIN, HERMITE_MAX_DEGREE, IM_Z_BOUND, PARITY_CHECK_TOL
 from .errors import DomainError, MagnitudeError, NumericError, ResolutionError, StructureError
@@ -84,10 +83,12 @@ class QuadratureRule:
 def gauss_hermite_rule(order: int, scale: float = 1.0) -> QuadratureRule:
     """Gauss-Hermite rule for the weight exp(-scale x^2).
 
-    Nodes and weights come from the eigen-decomposition of the symmetric
-    tridiagonal Jacobi matrix of the Hermite polynomials (off-diagonal
-    sqrt(k/2)); a rule of order q integrates x^k exp(-scale x^2) exactly for
-    all k <= 2q - 1.  Nodes are antisymmetrized so parity is exact.
+    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix
+    of the Hermite polynomials (zero diagonal, off-diagonal sqrt(k/2)),
+    computed by ``numpy.linalg.eigvalsh`` on the dense matrix; the weights
+    follow from the nodes in closed form.  A rule of order q integrates
+    x^k exp(-scale x^2) exactly for all k <= 2q - 1.  Nodes are
+    antisymmetrized so parity is exact.
     """
     if not isinstance(order, (int, np.integer)) or not 1 <= order <= 1024:
         raise DomainError(f"order must be an integer in [1, 1024], got {order!r}")
@@ -96,12 +97,11 @@ def gauss_hermite_rule(order: int, scale: float = 1.0) -> QuadratureRule:
     if order == 1:
         x = np.zeros(1)
     else:
+        off = np.sqrt(np.arange(1, order) / 2.0)
         try:
-            x = eigh_tridiagonal(
-                np.zeros(order), np.sqrt(np.arange(1, order) / 2.0), eigvals_only=True
-            )
-        except LinAlgError as exc:  # pragma: no cover - scipy QL failure
-            raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
+            x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"Jacobi matrix eigensolver failed: {exc}") from exc
         x = (x - x[::-1]) / 2.0  # exact antisymmetry
     # The first eigenvector component underflows for large orders, so the
     # weights come from the closed form w_i exp(x_i^2) = 1/(q e_{q-1}(x_i)^2)
@@ -270,6 +270,9 @@ def anharmonic_eigenbasis(beta: float, grid: QuadratureRule, k: int) -> BasisSet
     h = x[1] - x[0]
     diag = 2.0 / h**2 + np.abs(x) ** beta
     off = np.full(points - 1, -1.0 / h**2)
+    # imported here so that only this basis, not every CLI call, loads scipy
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
+
     try:
         energies, vectors = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
     except LinAlgError as exc:

@@ -164,7 +164,9 @@ def overlap_quadrature(n: int, m: int, order: int | None = None) -> complex:
     n + m, so the rule is exact once its order clears (n + m)/2; this is the
     independent oracle for :func:`overlap_closed_form`.
     """
-    rule = gauss_hermite_rule(order or (n + m + QUAD_ORDER_PAD // 2), scale=1.5)
+    if order is None:
+        order = n + m + QUAD_ORDER_PAD // 2
+    rule = gauss_hermite_rule(order, scale=1.5)
     fam = _example1_family_on(rule, max(n, m))
     w = rule.dx_weights
     return complex(np.sum(w * fam[n][::-1] * np.conj(fam[m])))
@@ -174,7 +176,9 @@ def overlap_matrices(n_max: int, order: int | None = None) -> tuple[np.ndarray, 
     """(closed-form matrix, quadrature matrix) for 0 <= n, m <= n_max."""
     if not isinstance(n_max, (int, np.integer)) or not 0 <= n_max <= 30:
         raise DomainError(f"n_max must be an integer in [0, 30], got {n_max!r}")
-    rule = gauss_hermite_rule(order or (2 * n_max + QUAD_ORDER_PAD // 2), scale=1.5)
+    if order is None:
+        order = 2 * n_max + QUAD_ORDER_PAD // 2
+    rule = gauss_hermite_rule(order, scale=1.5)
     fam = _example1_family_on(rule, n_max)
     w = rule.dx_weights
     quad = (fam[:, ::-1] * w) @ np.conj(fam.T)

@@ -140,7 +140,7 @@ def build_system(
     if not 1 <= n <= basis.size:
         raise DomainError(f"truncation {n} must lie in [1, basis size {basis.size}]")
     if rule is None:
-        rule = working_rule(basis, quad_order or 2 * n + QUAD_ORDER_PAD)
+        rule = working_rule(basis, 2 * n + QUAD_ORDER_PAD if quad_order is None else quad_order)
 
     families = {}
     scores = np.zeros((n, len(_HALVES)))

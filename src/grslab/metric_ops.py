@@ -89,7 +89,9 @@ def working_rule(basis: BasisSet, order: int | None = None) -> QuadratureRule:
     """Default quadrature for products of basis members: Gauss-Hermite of
     order 2N + pad for analytic bases, the native grid for numeric ones."""
     if basis.is_analytic:
-        return gauss_hermite_rule(order or 2 * basis.size + QUAD_ORDER_PAD, 1.0)
+        if order is None:
+            order = 2 * basis.size + QUAD_ORDER_PAD
+        return gauss_hermite_rule(order, 1.0)
     return basis.grid
 
 

@@ -10,6 +10,7 @@ value_im``.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import platform
 import time
@@ -91,16 +92,26 @@ class VerificationReport:
         }
 
 
-def versions_block() -> dict:
-    import scipy
+@functools.cache
+def _scipy_version() -> str | None:
+    """The installed scipy's version, read from its package metadata so that
+    reports do not import scipy; looked up once per process."""
+    from importlib import metadata
 
+    try:
+        return metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        return None
+
+
+def versions_block() -> dict:
     from . import __version__
 
     return {
         "grslab": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _scipy_version(),
     }
 
 

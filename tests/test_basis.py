@@ -65,6 +65,19 @@ class TestGaussHermiteRule:
         assert np.all(r.weights > 0)
         assert r.is_symmetric
 
+    @pytest.mark.parametrize("order", [2, 3, 40, 72, 296, 388])
+    def test_nodes_match_scipy_tridiagonal_oracle(self, order):
+        # scipy's tridiagonal solver is the reference only; the rule itself
+        # runs numpy's dense symmetric solver on the same Jacobi matrix
+        from scipy.linalg import eigh_tridiagonal
+
+        scale = 1.5
+        x = eigh_tridiagonal(
+            np.zeros(order), np.sqrt(np.arange(1, order) / 2.0), eigvals_only=True
+        )
+        want = (x - x[::-1]) / 2.0 / math.sqrt(scale)
+        assert np.array_equal(gauss_hermite_rule(order, scale).nodes, want)
+
     def test_order_limits(self):
         with pytest.raises(DomainError):
             gauss_hermite_rule(0)

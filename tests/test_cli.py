@@ -191,6 +191,26 @@ class TestUsageErrors:
             main(["verify", "example1", "--expect", "second_type"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "shifted-ho", "--n", "8"], ["verify", "example1", "--n", "8"], ["overlap"]],
+        ids=["verify-shifted-ho", "verify-example1", "overlap"],
+    )
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    def test_zero_quad_order_is_usage_error(self, argv, by, tmp_path, monkeypatch, capsys):
+        # 0 is an order the user asked for, not "unset": it must not fall back
+        # to the default rule while the report records 0
+        if by == "flag":
+            argv = argv + ["--quad-order", "0"]
+        else:
+            cfg = tmp_path / "zero.cfg"
+            cfg.write_text("quad_order = 0\n")
+            monkeypatch.setenv("GRSLAB_CONFIG", str(cfg))
+        out = tmp_path / "r.json"
+        assert main(argv + ["--json", str(out)]) == 2
+        assert "order must be an integer in [1, 1024], got 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, tmp_path, monkeypatch):
