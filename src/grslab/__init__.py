@@ -32,16 +32,13 @@ from .catalog import (
     overlap_quadrature,
 )
 from .csymmetry import (
-    CSymmetryOp,
     TypeClassification,
-    apply_c,
-    c_inner,
+    c_tables,
     classify_type,
     expansion_residual,
-    fundamental_split,
     j_orthonormality_defect,
     krein_gram,
-    make_c_symmetry,
+    krein_rows,
     partner_check,
     sign_sequence,
 )
@@ -78,8 +75,6 @@ from .krein import (
     gram_matrix,
     inner,
     krein_inner,
-    lincomb,
-    norm,
     to_samples,
     unit_vector,
 )

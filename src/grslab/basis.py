@@ -219,16 +219,6 @@ class BasisSet:
     def is_analytic(self) -> bool:
         return self.kind == "hermite_analytic"
 
-    def member_samples(self, n: int, rule: QuadratureRule) -> np.ndarray:
-        """Values of e_n at the nodes of ``rule``."""
-        if not 0 <= n < self.size:
-            raise DomainError(f"basis index {n} out of range [0, {self.size})")
-        if self.is_analytic:
-            return hermite_function_table(n, rule.nodes)[n]
-        if rule is not self.grid and not np.array_equal(rule.nodes, self.grid.nodes):
-            raise StructureError("numeric basis members exist only on their own grid")
-        return np.asarray(self.vectors[:, n])
-
     def table(self, rule: QuadratureRule) -> np.ndarray:
         """Matrix (size, points) of all members sampled at the rule nodes."""
         if self.is_analytic:

@@ -33,18 +33,15 @@ from .basis import (
 )
 from .catalog import DEFAULT_P_SOURCE, ExampleSpec, make_example, overlap_matrices
 from .csymmetry import (
-    CSymmetryOp,
-    c_inner,
     c_squared_residual,
+    c_tables,
     classify_type,
     expansion_residual,
-    fundamental_split,
     j_orthonormality_defect,
     jc_positivity_value,
     krein_gram,
-    make_c_symmetry,
+    krein_rows,
     partner_check,
-    sampled_product,
 )
 from .errors import GrslabError
 from .grs import (
@@ -54,9 +51,10 @@ from .grs import (
     g0_quadratic_check,
     gq_basis_defect,
     weighted_gram,
+    weighted_samples,
 )
 from .hamiltonian import eigen_residual, fd_matrix
-from .krein import CoefficientRep, FunctionRep, lincomb, to_samples
+from .krein import CoefficientRep, to_samples
 from .report import (
     Check,
     VerificationReport,
@@ -123,16 +121,14 @@ def gaussian_test_function(size: int = dflt.GQ_TEST_BASIS) -> CoefficientRep:
     return CoefficientRep(basis, coeffs)
 
 
-def span_functions(
-    sys: BiorthogonalSystem, count: int, rng: np.random.Generator
-) -> list[FunctionRep]:
-    """Random unit-coefficient combinations of the phi family."""
-    out = []
-    for _ in range(count):
-        c = rng.standard_normal(sys.n) + 1j * rng.standard_normal(sys.n)
-        c /= np.linalg.norm(c)
-        out.append(lincomb([(c[k], sys.phi[k]) for k in range(sys.n)], sys.rule))
-    return out
+def span_functions(sys: BiorthogonalSystem, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Random unit-coefficient combinations of the phi family, one
+    (count x N) row per function: f_i = sum_n coeffs[i, n] phi_n."""
+    coeffs = np.empty((count, sys.n), dtype=complex)
+    for row in coeffs:
+        row[:] = rng.standard_normal(sys.n) + 1j * rng.standard_normal(sys.n)
+        row /= np.linalg.norm(row)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -173,29 +169,30 @@ def sign_pattern_defect(sys: BiorthogonalSystem) -> float:
     return float(np.max(np.abs(diag - signs)))
 
 
-def c_metric_consistency_defect(
-    sys: BiorthogonalSystem, c_op: CSymmetryOp, funcs: list[FunctionRep]
-) -> float:
+def c_metric_consistency_defect(sys: BiorthogonalSystem, coeffs: np.ndarray) -> float:
     """Consistency triangle between [Cf, g], the factored weighted product
-    and the fundamental-split form, plus the split sign conditions."""
-    from .grs import weighted_inner
+    and the fundamental-split form, plus the split sign conditions, over the
+    span-row pairs (f, g) = (row i, row i + 1), i < 3."""
+    i = np.arange(min(3, len(coeffs)))
+    a, b = coeffs[i], coeffs[(i + 1) % len(coeffs)]
+    # <exp(-Q/2) f, exp(-Q/2) g> = a W b^H
+    v2 = np.sum((a @ weighted_gram(sys, "phi", -1)) * np.conj(b), axis=1)
+    c_phi = c_tables(sys)[0]
+    f, g, cf, cg = a @ sys.phi_samples, b @ sys.phi_samples, a @ c_phi, b @ c_phi
+    v1 = krein_rows(sys.rule, cf, g)
+    # f = f_+ + f_- along the projectors (I +- C)/2
+    fp, fm, gp, gm = (f + cf) / 2, (f - cf) / 2, (g + cg) / 2, (g - cg) / 2
+    v3 = krein_rows(sys.rule, fp, gp) - krein_rows(sys.rule, fm, gm)
+    cross = np.abs(krein_rows(sys.rule, fp, gm))
+    pos = np.maximum(0.0, -krein_rows(sys.rule, fp, fp).real)
+    neg = np.maximum(0.0, krein_rows(sys.rule, fm, fm).real)
+    return float(np.max([np.abs(v1 - v2), np.abs(v1 - v3), cross, pos, neg]))
 
-    def krein(f: FunctionRep, g: FunctionRep) -> complex:
-        return sampled_product(sys.rule, f, g, indefinite=True)
 
-    worst = 0.0
-    pairs = [(funcs[i], funcs[(i + 1) % len(funcs)]) for i in range(min(3, len(funcs)))]
-    for f, g in pairs:
-        v1 = c_inner(c_op, f, g)
-        v2 = weighted_inner(sys.q, -1, f, g, sys.rule)
-        fp, fm = fundamental_split(c_op, f)
-        gp, gm = fundamental_split(c_op, g)
-        v3 = krein(fp, gp) - krein(fm, gm)
-        cross = abs(krein(fp, gm))
-        pos = max(0.0, -krein(fp, fp).real)
-        neg = max(0.0, krein(fm, fm).real)
-        worst = max(worst, abs(v1 - v2), abs(v1 - v3), cross, pos, neg)
-    return worst
+def span_expansion_defect(sys: BiorthogonalSystem, coeffs: np.ndarray) -> float:
+    """Worst indefinite-expansion residual over the given span rows."""
+    f_weighted = coeffs @ weighted_samples(sys, "phi", -1)
+    return float(np.max(expansion_residual(sys, coeffs @ sys.phi_samples, f_weighted)))
 
 
 def _fd_grid(n_top: int):
@@ -272,23 +269,21 @@ def _first_type_checks(sys, tols, rng) -> list[Check]:
     checks.append(run_check("partner", tols["tol_partner"], lambda: partner_check(sys)))
     checks.append(_classification_check(sys, tols))
 
-    c_op = make_c_symmetry(sys.q, sys.rule)
-    funcs = span_functions(sys, 10, rng)
+    coeffs = span_functions(sys, 10, rng)
     checks.append(
         run_check("c_squared", dflt.TOL_C_SQUARED,
-                  lambda: max(c_squared_residual(c_op, f) for f in funcs))
+                  lambda: np.max(c_squared_residual(sys, coeffs)))
     )
     checks.append(
         run_check("jc_positivity", dflt.VERDICT_TOL,
-                  lambda: 0.0 if all(jc_positivity_value(c_op, f) > 0 for f in funcs) else 1.0)
+                  lambda: 0.0 if np.all(jc_positivity_value(sys, coeffs) > 0) else 1.0)
     )
     checks.append(
         run_check("c_metric_consistency", dflt.TOL_SPLIT,
-                  lambda: c_metric_consistency_defect(sys, c_op, funcs))
+                  lambda: c_metric_consistency_defect(sys, coeffs))
     )
     checks.append(
-        run_check("expansion", dflt.TOL_EXPANSION,
-                  lambda: max(expansion_residual(sys, c_op, f) for f in funcs[:5]))
+        run_check("expansion", dflt.TOL_EXPANSION, lambda: span_expansion_defect(sys, coeffs[:5]))
     )
     if sys.n >= 32:
         probe = gaussian_test_function()
@@ -477,8 +472,7 @@ def _cmd_verify(args) -> int:
 
     csv_path, _ = _resolve(args, cfg, "csv", None, "none")
     if csv_path:
-        gram = (sys_.phi_samples * sys_.rule.dx_weights) @ np.conj(sys_.psi_samples.T)
-        write_matrix_csv(gram, csv_path)
+        write_matrix_csv(sys_.biorth_gram, csv_path)
         report.matrices.append(csv_path)
     json_path, _ = _resolve(args, cfg, "json", None, "none")
     if json_path:

@@ -6,6 +6,13 @@ the partner identity psi_n = delta_n J phi_n, first-type classification, the
 operator C with its induced positive inner product [Cf, g], the fundamental
 split along (I +- C)/2, and the indefinite expansion of arbitrary vectors.
 
+Every quantity is a matrix expression over the system's phi table.  C acts
+on that whole table (:func:`c_tables`), never on one function at a time; a
+function in the span is a coefficient row ``a`` over the phi family, so f,
+Cf and C^2 f are ``a`` times the phi, C phi and C^2 phi tables and a batch
+of span functions is one product.  The Krein Gram and the parity verdict
+are cached on the system.
+
 A finite computation can certify membership in the first type (exhibit one
 anticommuting Q) but never in the second (which quantifies over all
 admissible generators), so the classifier only ever answers
@@ -22,46 +29,22 @@ from .basis import BasisSet, QuadratureRule
 from .defaults import PARITY_CHECK_TOL, TOL_KREIN
 from .errors import DomainError, NotJOrthonormalError, StructureError
 from .grs import BiorthogonalSystem, weighted_samples
-from .krein import FunctionRep, apply_parity, inner, krein_inner, lincomb, to_samples
-from .metric_ops import MetricOperatorQ, anticommutes_with_parity, apply_exp_q
+from .metric_ops import MetricOperatorQ, Multiplication, multiply_exp_q
 
 __all__ = [
-    "CSymmetryOp",
     "TypeClassification",
-    "make_c_symmetry",
     "krein_gram",
     "j_orthonormality_defect",
     "sign_sequence",
     "partner_check",
     "classify_type",
-    "apply_c",
-    "c_inner",
-    "sampled_product",
+    "c_tables",
+    "krein_rows",
     "c_squared_residual",
     "jc_positivity_value",
-    "fundamental_split",
     "expansion_residual",
     "parity_eigenvector_defect",
 ]
-
-
-@dataclass(frozen=True)
-class CSymmetryOp:
-    """C = J exp(-Q) = exp(Q) J for a generator that anticommutes with J."""
-
-    q: MetricOperatorQ
-    rule: QuadratureRule
-
-
-def make_c_symmetry(q_op: MetricOperatorQ, rule: QuadratureRule) -> CSymmetryOp:
-    """Validate the anticommutation requirement and wrap the generator."""
-    verdict = anticommutes_with_parity(q_op, rule)
-    if verdict.verdict != "yes":
-        raise StructureError(
-            f"generator does not anticommute with parity (verdict {verdict.verdict!r}, "
-            f"evidence {verdict.evidence:.3g}); no C-symmetry operator exists for it"
-        )
-    return CSymmetryOp(q_op, rule)
 
 
 @dataclass(frozen=True)
@@ -84,11 +67,8 @@ class TypeClassification:
 # ---------------------------------------------------------------------------
 
 def krein_gram(sys: BiorthogonalSystem) -> np.ndarray:
-    """K[n, m] = [phi_n, phi_m] from the cached sample rows."""
-    if not sys.rule.is_symmetric:
-        raise StructureError("indefinite Gram needs a symmetric working grid")
-    w = sys.rule.dx_weights
-    return (sys.phi_samples[:, ::-1] * w) @ np.conj(sys.phi_samples.T)
+    """K[n, m] = [phi_n, phi_m], computed once per system (read-only)."""
+    return sys.krein_gram
 
 
 def j_orthonormality_defect(sys: BiorthogonalSystem) -> float:
@@ -150,7 +130,7 @@ def classify_type(sys: BiorthogonalSystem, tol: float = TOL_KREIN) -> TypeClassi
     Failing (2) alone yields ``undetermined``: certifying the second type
     would require ruling out every admissible generator.
     """
-    ac = anticommutes_with_parity(sys.q, sys.rule)
+    ac = sys.parity
     defect = j_orthonormality_defect(sys)
     if defect > tol:
         return TypeClassification("not_j_orthonormal", None, defect, ac.evidence)
@@ -163,77 +143,69 @@ def classify_type(sys: BiorthogonalSystem, tol: float = TOL_KREIN) -> TypeClassi
 # the operator C and its metric
 # ---------------------------------------------------------------------------
 
-def apply_c(c_op: CSymmetryOp, f: FunctionRep) -> FunctionRep:
-    """C f = exp(Q) (J f)."""
-    return apply_exp_q(c_op.q, 1.0, apply_parity(f), c_op.rule)
+def c_tables(sys: BiorthogonalSystem) -> tuple[np.ndarray, np.ndarray]:
+    """C phi_n and C^2 phi_n on the working rule, one row per member.
 
-
-def sampled_product(
-    rule: QuadratureRule, f: FunctionRep, g: FunctionRep, indefinite: bool = False
-) -> complex:
-    """<f, g>, or [f, g] when ``indefinite``, with both sampled on ``rule``."""
-    fs, gs = to_samples(f, rule), to_samples(g, rule)
-    return krein_inner(fs, gs) if indefinite else inner(fs, gs)
-
-
-def c_inner(c_op: CSymmetryOp, f: FunctionRep, g: FunctionRep) -> complex:
-    """The positive inner product [C f, g] induced by the C-symmetry."""
-    return sampled_product(c_op.rule, apply_c(c_op, f), g, indefinite=True)
-
-
-def c_squared_residual(c_op: CSymmetryOp, f: FunctionRep) -> float:
-    """|| C(Cf) - f || / ||f|| on the working grid."""
-    ccf = to_samples(apply_c(c_op, apply_c(c_op, f)), c_op.rule)
-    fs = to_samples(f, c_op.rule)
-    return float(c_op.rule.norm(ccf.samples - fs.samples) / c_op.rule.norm(fs.samples))
-
-
-def jc_positivity_value(c_op: CSymmetryOp, f: FunctionRep) -> float:
-    """<J(Cf), f>, which must be strictly positive for nonzero f."""
-    return float(sampled_product(c_op.rule, apply_parity(apply_c(c_op, f)), f).real)
-
-
-def fundamental_split(
-    c_op: CSymmetryOp, f: FunctionRep
-) -> tuple[FunctionRep, FunctionRep]:
-    """f = f_+ + f_- along the projectors (I +- C)/2.
-
-    The components are indefinitely orthogonal, [f_+, f_+] >= 0 and
-    [f_-, f_-] <= 0, and [Cf, g] = [f_+, g_+] - [f_-, g_-].
+    Translation: parity flips the argument shift ia to -ia and exp(Q) moves
+    it back, so C phi_n = (-1)^n phi_n exactly and C^2 is the identity.
+    Multiplication: (Cf)(x) = exp(q(x)) f(-x) on the reversed samples, and
+    C^2 is that map applied twice, so C^2 = I stays numerical evidence.
     """
-    cf = apply_c(c_op, f)
-    f_plus = lincomb([(0.5, f), (0.5, cf)], c_op.rule)
-    f_minus = lincomb([(0.5, f), (-0.5, cf)], c_op.rule)
-    return f_plus, f_minus
+    if sys.parity.verdict != "yes":
+        raise StructureError(
+            f"generator does not anticommute with parity (verdict {sys.parity.verdict!r}, "
+            f"evidence {sys.parity.evidence:.3g}); no C-symmetry operator exists for it"
+        )
+    if not sys.rule.is_symmetric:
+        raise StructureError("parity on sample form needs a symmetric grid")
+    if isinstance(sys.q, Multiplication):
+        c_phi = multiply_exp_q(sys.q, 1.0, sys.phi_samples[:, ::-1], sys.rule)
+        return c_phi, multiply_exp_q(sys.q, 1.0, c_phi[:, ::-1], sys.rule)
+    signs = np.array(sys.basis.parity_signs[: sys.n], dtype=float)[:, np.newaxis]
+    c_phi = signs * sys.phi_samples
+    return c_phi, signs * c_phi
+
+
+def krein_rows(rule: QuadratureRule, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """[f_i, g_i] = <J f_i, g_i> for each row pair of two sample tables."""
+    return np.sum(rule.dx_weights * f[..., ::-1] * np.conj(g), axis=-1)
+
+
+def c_squared_residual(sys: BiorthogonalSystem, coeffs: np.ndarray) -> np.ndarray:
+    """||C(Cf) - f|| / ||f|| for each span row f = coeffs @ phi."""
+    cc_phi = c_tables(sys)[1]
+    rule = sys.rule
+    return rule.norm(coeffs @ (cc_phi - sys.phi_samples)) / rule.norm(coeffs @ sys.phi_samples)
+
+
+def jc_positivity_value(sys: BiorthogonalSystem, coeffs: np.ndarray) -> np.ndarray:
+    """<J(Cf), f> = Re [Cf, f] for each span row; must be strictly positive."""
+    c_phi = c_tables(sys)[0]
+    return krein_rows(sys.rule, coeffs @ c_phi, coeffs @ sys.phi_samples).real
 
 
 def expansion_residual(
     sys: BiorthogonalSystem,
-    c_op: CSymmetryOp,
-    f: FunctionRep,
+    f: np.ndarray,
+    f_weighted: np.ndarray,
     m: int | None = None,
     tol: float = TOL_KREIN,
-) -> float:
-    """Residual of f = sum_n delta_n [f, phi_n] phi_n in the metric norm.
+) -> np.ndarray:
+    """Residual of f = sum_n delta_n [f, phi_n] phi_n in the metric norm, per row.
 
-    The norm is evaluated in factored form: exp(-Q/2) is applied term by term
-    (it is linear), and the plain norm of
-    exp(-Q/2) f - sum_n alpha_n exp(-Q/2) phi_n is returned; the sum is one
-    product with the table of exp(-Q/2) phi_n.
+    ``f`` holds functions sampled on the working rule, one per row, and
+    ``f_weighted`` the same functions moved by exp(-Q/2).  The norm is
+    evaluated in factored form: exp(-Q/2) is applied term by term (it is
+    linear), and the plain norm of exp(-Q/2) f - sum_n alpha_n exp(-Q/2) phi_n
+    is returned; the sum is one product with the table of exp(-Q/2) phi_n.
     """
-    if anticommutes_with_parity(sys.q, sys.rule).verdict != "yes":
+    if sys.parity.verdict != "yes":
         raise StructureError("the indefinite expansion needs a first-type system")
     m = sys.n if m is None else int(m)
     if not 1 <= m <= sys.n:
         raise DomainError(f"m must lie in [1, {sys.n}], got {m}")
-    signs = sign_sequence(sys, tol)
-    if not sys.rule.is_symmetric:
-        raise StructureError("expansion residual needs a symmetric working grid")
-    w = sys.rule.dx_weights
-    fs = to_samples(f, sys.rule).samples
+    signs = np.array(sign_sequence(sys, tol)[:m])
     # alpha_n = delta_n [f, phi_n]
-    f_rev = fs[::-1]
-    alphas = np.array(signs[:m]) * (np.conj(sys.phi_samples[:m]) @ (w * f_rev))
-    u = to_samples(apply_exp_q(sys.q, -0.5, f, sys.rule), sys.rule).samples
-    u = u - alphas @ weighted_samples(sys, "phi", -1)[:m]
-    return float(sys.rule.norm(u))
+    alphas = signs * ((f[:, ::-1] * sys.rule.dx_weights) @ np.conj(sys.phi_samples[:m].T))
+    u = f_weighted - alphas @ weighted_samples(sys, "phi", -1)[:m]
+    return sys.rule.norm(u)

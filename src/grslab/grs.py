@@ -18,18 +18,21 @@ applying exp(sQ) whole.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .basis import BasisSet, QuadratureRule, hermite_function_table
+from .basis import BasisSet, QuadratureRule, _readonly, hermite_function_table
 from .defaults import DECAY_THRESHOLD, QUAD_ORDER_PAD
-from .errors import DomainError, MagnitudeError, NumericError
+from .errors import DomainError, MagnitudeError, NumericError, StructureError
 from .krein import CoefficientRep, FunctionRep, SampleRep, inner, to_samples, unit_vector
 from .metric_ops import (
     MetricOperatorQ,
     Multiplication,
+    ParityAnticommutation,
+    anticommutes_with_parity,
     apply_exp_q,
     decay_scores,
     multiply_exp_q,
@@ -60,7 +63,10 @@ class BiorthogonalSystem:
     admits (coefficient form with an exact argument shift for translation
     generators, samples for multiplication symbols); ``phi_samples`` and
     ``psi_samples`` cache the same families on the working rule for
-    quadrature work.  Values are immutable after build.
+    quadrature work.  Values are immutable after build, so the Grams and the
+    parity verdict below are computed once, on first use, and returned
+    read-only; ``dataclasses.replace`` and :func:`truncated` build fresh
+    instances with empty caches.
     """
 
     basis: BasisSet
@@ -72,13 +78,34 @@ class BiorthogonalSystem:
     phi_samples: NDArray
     psi_samples: NDArray
     min_decay_score: float
-    biorth_defect: float
 
     def __post_init__(self) -> None:
         for name in ("phi_samples", "psi_samples"):
-            a = np.ascontiguousarray(getattr(self, name))
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+    @cached_property
+    def biorth_gram(self) -> NDArray:
+        """G[n, m] = <phi_n, psi_m> on the working rule."""
+        w = self.rule.dx_weights
+        return _readonly((self.phi_samples * w) @ np.conj(self.psi_samples.T))
+
+    @property
+    def biorth_defect(self) -> float:
+        """max_{n,m} |<phi_n, psi_m> - delta_nm|."""
+        return float(np.max(np.abs(self.biorth_gram - np.eye(self.n))))
+
+    @cached_property
+    def krein_gram(self) -> NDArray:
+        """K[n, m] = [phi_n, phi_m] = <J phi_n, phi_m> on the working rule."""
+        if not self.rule.is_symmetric:
+            raise StructureError("indefinite Gram needs a symmetric working grid")
+        w = self.rule.dx_weights
+        return _readonly((self.phi_samples[:, ::-1] * w) @ np.conj(self.phi_samples.T))
+
+    @cached_property
+    def parity(self) -> ParityAnticommutation:
+        """Whether the generator anticommutes with parity, on the working rule."""
+        return anticommutes_with_parity(self.q, self.rule)
 
 
 #: exponents of the phi and psi families, in the order the decay gate checks them
@@ -162,7 +189,7 @@ def build_system(
         families.get(t) or _moved_family(q_op, basis, n, t, rule) for t in _HALVES
     )
 
-    sys = BiorthogonalSystem(
+    return BiorthogonalSystem(
         basis=basis,
         q=q_op,
         n=int(n),
@@ -172,9 +199,7 @@ def build_system(
         phi_samples=phi_s,
         psi_samples=psi_s,
         min_decay_score=float(np.min(scores)),
-        biorth_defect=0.0,
     )
-    return replace(sys, biorth_defect=biorthogonality_defect(sys))
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +207,8 @@ def build_system(
 # ---------------------------------------------------------------------------
 
 def biorthogonality_defect(sys: BiorthogonalSystem) -> float:
-    """max_{n,m} |<phi_n, psi_m> - delta_nm| from the cached sample rows."""
-    g = (sys.phi_samples * sys.rule.dx_weights) @ np.conj(sys.psi_samples.T)
-    return float(np.max(np.abs(g - np.eye(sys.n))))
+    """max_{n,m} |<phi_n, psi_m> - delta_nm| from the system's cached Gram."""
+    return sys.biorth_defect
 
 
 def gq_basis_defect(
@@ -364,7 +388,7 @@ def truncated(sys: BiorthogonalSystem, m: int) -> BiorthogonalSystem:
         raise DomainError(f"truncation {m} must lie in [1, {sys.n}]")
     if m == sys.n:
         return sys
-    cut = replace(
+    return replace(
         sys,
         n=int(m),
         phi=sys.phi[:m],
@@ -372,4 +396,3 @@ def truncated(sys: BiorthogonalSystem, m: int) -> BiorthogonalSystem:
         phi_samples=np.array(sys.phi_samples[:m]),
         psi_samples=np.array(sys.psi_samples[:m]),
     )
-    return replace(cut, biorth_defect=biorthogonality_defect(cut))

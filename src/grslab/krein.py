@@ -30,11 +30,9 @@ __all__ = [
     "unit_vector",
     "evaluate",
     "to_samples",
-    "lincomb",
     "apply_parity",
     "inner",
     "krein_inner",
-    "norm",
     "gram_matrix",
 ]
 
@@ -121,42 +119,6 @@ def to_samples(f: FunctionRep, rule: QuadratureRule) -> SampleRep:
     return SampleRep(rule, f.coeffs @ table[: f.coeffs.size])
 
 
-def lincomb(
-    terms: Sequence[tuple[complex, FunctionRep]],
-    rule: QuadratureRule | None = None,
-) -> FunctionRep:
-    """alpha_1 f_1 + alpha_2 f_2 + ... as a single representation.
-
-    Compatible coefficient representations (same basis, same shift) are
-    combined exactly; anything else is sampled on ``rule``.
-    """
-    if not terms:
-        raise StructureError("empty linear combination")
-    reps = [t[1] for t in terms]
-    first = reps[0]
-    if all(
-        isinstance(r, CoefficientRep)
-        and isinstance(first, CoefficientRep)
-        and r.basis is first.basis
-        and r.shift == first.shift
-        for r in reps
-    ):
-        size = max(r.coeffs.size for r in reps)
-        c = np.zeros(size, dtype=complex)
-        for alpha, r in terms:
-            c[: r.coeffs.size] += complex(alpha) * r.coeffs
-        return CoefficientRep(first.basis, c, first.shift)
-    if rule is None:
-        if all(isinstance(r, SampleRep) for r in reps):
-            rule = first.rule
-        else:
-            raise StructureError("mixed representations need an explicit rule")
-    s = np.zeros(len(rule), dtype=complex)
-    for alpha, r in terms:
-        s += complex(alpha) * to_samples(r, rule).samples
-    return SampleRep(rule, s)
-
-
 # ---------------------------------------------------------------------------
 # parity and products
 # ---------------------------------------------------------------------------
@@ -203,11 +165,6 @@ def inner(f: FunctionRep, g: FunctionRep) -> complex:
 def krein_inner(f: FunctionRep, g: FunctionRep) -> complex:
     """Indefinite inner product [f, g] = <Jf, g>; Hermitian but not positive."""
     return inner(apply_parity(f), g)
-
-
-def norm(f: FunctionRep) -> float:
-    """Hilbert norm sqrt(<f, f>)."""
-    return float(np.sqrt(max(inner(f, f).real, 0.0)))
 
 
 def gram_matrix(

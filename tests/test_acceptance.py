@@ -8,6 +8,8 @@ whatever the implementation currently achieves.
 import math
 import time
 
+import numpy as np
+
 import grslab as g
 from grslab.cli import (
     example1_eigen_defect,
@@ -16,6 +18,7 @@ from grslab.cli import (
     span_functions,
 )
 from grslab.csymmetry import c_squared_residual, jc_positivity_value
+from grslab.grs import weighted_samples
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -139,22 +142,19 @@ def test_criterion_07_quasi_basis_resolution_trend(shifted_sys32):
 
 
 def test_criterion_08_c_symmetry_suite(shifted_sys, rng):
-    c_op = g.make_c_symmetry(shifted_sys.q, shifted_sys.rule)
-    funcs = span_functions(shifted_sys, 10, rng)
-    worst_c2 = max(c_squared_residual(c_op, f) for f in funcs)
-    positive = all(jc_positivity_value(c_op, f) > 0 for f in funcs)
-    worst_tri = 0.0
-    for f, h in zip(funcs[:3], funcs[3:6]):
-        v1 = g.c_inner(c_op, f, h)
-        v2 = g.weighted_inner(shifted_sys.q, -1, f, h, shifted_sys.rule)
-        fp, fm = g.fundamental_split(c_op, f)
-        hp, hm = g.fundamental_split(c_op, h)
-        r = shifted_sys.rule
-        v3 = g.krein_inner(g.to_samples(fp, r), g.to_samples(hp, r)) - g.krein_inner(
-            g.to_samples(fm, r), g.to_samples(hm, r)
-        )
-        worst_tri = max(worst_tri, abs(v1 - v2), abs(v1 - v3))
-    worst_exp = max(g.expansion_residual(shifted_sys, c_op, f) for f in funcs)
+    sys_, r = shifted_sys, shifted_sys.rule
+    coeffs = span_functions(sys_, 10, rng)
+    worst_c2 = max(c_squared_residual(sys_, coeffs))
+    positive = all(jc_positivity_value(sys_, coeffs) > 0)
+    c_phi, _ = g.c_tables(sys_)
+    plus, minus = (sys_.phi_samples + c_phi) / 2, (sys_.phi_samples - c_phi) / 2
+    a, b = coeffs[:3], coeffs[3:6]
+    v1 = g.krein_rows(r, a @ c_phi, b @ sys_.phi_samples)
+    v2 = np.sum((a @ g.weighted_gram(sys_, "phi", -1)) * np.conj(b), axis=1)
+    v3 = g.krein_rows(r, a @ plus, b @ plus) - g.krein_rows(r, a @ minus, b @ minus)
+    worst_tri = max(np.max(np.abs(v1 - v2)), np.max(np.abs(v1 - v3)))
+    f_weighted = coeffs @ weighted_samples(sys_, "phi", -1)
+    worst_exp = max(g.expansion_residual(sys_, coeffs @ sys_.phi_samples, f_weighted))
     ok = worst_c2 <= 1e-8 and positive and worst_tri <= 1e-8 and worst_exp <= 1e-8
     report(
         "criterion-08 C-symmetry suite",

@@ -194,17 +194,10 @@ class TestBasisSet:
         b = hermite_basis(5)
         assert b.parity_signs == (1, -1, 1, -1, 1)
 
-    def test_member_samples_match_direct_eval(self):
-        b = hermite_basis(8)
-        rule = gauss_hermite_rule(32, 1.0)
-        got = b.member_samples(3, rule)
-        want = hermite_function(3, rule.nodes)
-        assert np.allclose(got, want, rtol=0, atol=1e-15)
-
     def test_numeric_basis_locked_to_grid(self, perturbed_sys):
         other = uniform_trapezoid_rule(8.0, 999)
         with pytest.raises(StructureError):
-            perturbed_sys.basis.member_samples(0, other)
+            perturbed_sys.basis.table(other)
 
 
 def test_high_order_weight_underflow_is_loud():

@@ -309,8 +309,10 @@ class TestNonFiniteValues:
 
 class TestScalingGuard:
     def test_verify_does_no_pairwise_or_per_member_work(self, monkeypatch):
+        import grslab.basis
         import grslab.grs
         import grslab.krein
+        from grslab import ExampleSpec, krein_gram, make_example
 
         counts = collections.Counter()
 
@@ -322,7 +324,8 @@ class TestScalingGuard:
 
         # callers look these up through their own module globals
         for name, fn in (("weighted_inner", grslab.grs.weighted_inner),
-                         ("to_samples", grslab.krein.to_samples)):
+                         ("to_samples", grslab.krein.to_samples),
+                         ("hermite_function_table", grslab.basis.hermite_function_table)):
             wrapper = counted(name, fn)
             for mod_name, mod in list(sys.modules.items()):
                 if mod_name.startswith("grslab") and getattr(mod, name, None) is fn:
@@ -335,3 +338,12 @@ class TestScalingGuard:
             calls[n] = dict(counts)
         assert calls[16].get("weighted_inner", 0) == 0 and calls[32].get("weighted_inner", 0) == 0
         assert calls[32].get("to_samples", 0) <= 2.5 * calls[16].get("to_samples", 0)
+
+        # no check builds a Hermite table per span function
+        counts.clear()
+        assert main(["verify", "shifted-ho", "--n", "16"]) == 0
+        assert counts["hermite_function_table"] <= 25
+
+        # one Krein Gram per system
+        sys_ = make_example(ExampleSpec(id="shifted_ho", a=0.5, n=8))
+        assert krein_gram(sys_) is krein_gram(sys_)

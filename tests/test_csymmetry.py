@@ -3,34 +3,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grslab import (
     CoefficientRep,
     Multiplication,
     NotJOrthonormalError,
+    SampleRep,
     StructureError,
-    apply_c,
     apply_exp_q,
+    apply_parity,
     build_system,
-    c_inner,
+    c_tables,
     classify_type,
     expansion_residual,
-    fundamental_split,
     hermite_basis,
     inner,
     j_orthonormality_defect,
     krein_gram,
-    krein_inner,
-    make_c_symmetry,
+    krein_rows,
     partner_check,
     sign_sequence,
     to_samples,
     truncated,
-    unit_vector,
+    weighted_gram,
     weighted_inner,
 )
 from grslab.cli import gaussian_test_function, span_functions
 from grslab.csymmetry import c_squared_residual, jc_positivity_value
+from grslab.grs import weighted_samples
 
 BASIS = hermite_basis(16)
 
@@ -42,12 +44,32 @@ def zero_sys():
 
 @pytest.fixture(scope="module")
 def shifted_c(shifted_sys):
-    return make_c_symmetry(shifted_sys.q, shifted_sys.rule)
+    return c_tables(shifted_sys)
 
 
 @pytest.fixture(scope="module")
 def perturbed_c(perturbed_sys):
-    return make_c_symmetry(perturbed_sys.q, perturbed_sys.rule)
+    return c_tables(perturbed_sys)
+
+
+def split_tables(sys_, c_phi):
+    """The members split along the projectors (I +- C)/2."""
+    return (sys_.phi_samples + c_phi) / 2, (sys_.phi_samples - c_phi) / 2
+
+
+def span_rep(sys_, row):
+    """One span row as a FunctionRep: exact coefficients for translation
+    (every phi member carries the same argument shift), samples otherwise."""
+    if isinstance(sys_.phi[0], CoefficientRep):
+        return CoefficientRep(sys_.basis, row, sys_.phi[0].shift)
+    return SampleRep(sys_.rule, row @ sys_.phi_samples)
+
+
+def sampled_pair(sys_, f):
+    """f and exp(-Q/2) f sampled on the working rule, as one-row tables."""
+    r = sys_.rule
+    fw = to_samples(apply_exp_q(sys_.q, -0.5, f, r), r).samples
+    return to_samples(f, r).samples[np.newaxis], fw[np.newaxis]
 
 
 class TestJOrthonormality:
@@ -144,151 +166,188 @@ class TestClassification:
 
 class TestOperatorC:
     def test_requires_anticommuting_generator(self, example1_sys):
-        with pytest.raises(StructureError):
-            make_c_symmetry(example1_sys.q, example1_sys.rule)
+        with pytest.raises(StructureError, match="no C-symmetry operator"):
+            c_tables(example1_sys)
 
     def test_fixes_positive_members(self, shifted_sys, shifted_c):
-        cphi = to_samples(apply_c(shifted_c, shifted_sys.phi[2]), shifted_sys.rule)
-        assert np.max(np.abs(cphi.samples - shifted_sys.phi_samples[2])) <= 1e-8
+        c_phi, _ = shifted_c
+        assert np.max(np.abs(c_phi[2] - shifted_sys.phi_samples[2])) <= 1e-8
 
     def test_negates_negative_members(self, shifted_sys, shifted_c):
-        cphi = to_samples(apply_c(shifted_c, shifted_sys.phi[1]), shifted_sys.rule)
-        assert np.max(np.abs(cphi.samples + shifted_sys.phi_samples[1])) <= 1e-8
+        c_phi, _ = shifted_c
+        assert np.max(np.abs(c_phi[1] + shifted_sys.phi_samples[1])) <= 1e-8
 
     def test_zero_generator_reduces_to_parity(self, zero_sys):
-        c_op = make_c_symmetry(zero_sys.q, zero_sys.rule)
-        e0 = unit_vector(BASIS, 0)
-        ce0 = apply_c(c_op, e0)
-        assert np.max(np.abs(ce0.samples - to_samples(e0, zero_sys.rule).samples)) == 0.0
+        c_phi, cc_phi = c_tables(zero_sys)
+        assert np.array_equal(c_phi, zero_sys.phi_samples[:, ::-1])
+        assert np.array_equal(cc_phi, zero_sys.phi_samples)
 
     @pytest.mark.parametrize("fixture,cfix", [("shifted_sys", "shifted_c"), ("perturbed_sys", "perturbed_c")])
     def test_involution_on_random_span(self, fixture, cfix, rng, request):
         sys_ = request.getfixturevalue(fixture)
-        c_op = request.getfixturevalue(cfix)
-        for f in span_functions(sys_, 10, rng):
-            assert c_squared_residual(c_op, f) <= 1e-8
+        _, cc_phi = request.getfixturevalue(cfix)
+        r = sys_.rule
+        assert np.max(r.norm(cc_phi - sys_.phi_samples) / r.norm(sys_.phi_samples)) <= 1e-8
+        assert np.max(c_squared_residual(sys_, span_functions(sys_, 10, rng))) <= 1e-8
 
     @pytest.mark.parametrize("fixture,cfix", [("shifted_sys", "shifted_c"), ("perturbed_sys", "perturbed_c")])
     def test_jc_positivity_on_random_span(self, fixture, cfix, rng, request):
         sys_ = request.getfixturevalue(fixture)
-        c_op = request.getfixturevalue(cfix)
-        for f in span_functions(sys_, 10, rng):
-            assert jc_positivity_value(c_op, f) > 0.0
+        c_phi, _ = request.getfixturevalue(cfix)
+        assert np.all(krein_rows(sys_.rule, c_phi, sys_.phi_samples).real > 0.0)
+        assert np.all(jc_positivity_value(sys_, span_functions(sys_, 10, rng)) > 0.0)
+
+    @pytest.mark.parametrize("fixture", ["shifted_sys", "perturbed_sys"])
+    def test_tables_match_function_reps(self, fixture, request, rng):
+        # reference: each span row as its own FunctionRep, moved by
+        # apply_parity / apply_exp_q and sampled, as the per-function path did
+        sys_ = request.getfixturevalue(fixture)
+        r = sys_.rule
+        c_phi, cc_phi = c_tables(sys_)
+        coeffs = span_functions(sys_, 4, rng)
+        c2 = c_squared_residual(sys_, coeffs)
+        jc = jc_positivity_value(sys_, coeffs)
+        for i, row in enumerate(coeffs):
+            f = span_rep(sys_, row)
+            cf = apply_exp_q(sys_.q, 1.0, apply_parity(f), r)
+            ccf = apply_exp_q(sys_.q, 1.0, apply_parity(cf), r)
+            fs, cfs, ccfs = (to_samples(h, r).samples for h in (f, cf, ccf))
+            assert np.max(np.abs(row @ sys_.phi_samples - fs)) <= 1e-13
+            assert np.max(np.abs(row @ c_phi - cfs)) <= 1e-13
+            assert np.max(np.abs(row @ cc_phi - ccfs)) <= 1e-13
+            assert abs(c2[i] - r.norm(ccfs - fs) / r.norm(fs)) <= 1e-13
+            assert abs(jc[i] - inner(to_samples(apply_parity(cf), r), to_samples(f, r)).real) <= 1e-13
+
+
+@given(which=st.sampled_from(["shifted_sys", "perturbed_sys"]), n=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_c_properties_on_random_span(which, n, seed, shifted_sys, perturbed_sys):
+    sys_ = truncated(shifted_sys if which == "shifted_sys" else perturbed_sys, n)
+    coeffs = span_functions(sys_, 2, np.random.default_rng(seed))
+    plus, minus = split_tables(sys_, c_tables(sys_)[0])
+    assert np.max(c_squared_residual(sys_, coeffs)) <= 1e-8
+    assert np.all(jc_positivity_value(sys_, coeffs) > 0.0)
+    assert abs(krein_rows(sys_.rule, coeffs[0] @ plus, coeffs[1] @ minus)) <= 1e-8
+    assert np.max(np.abs(coeffs @ plus + coeffs @ minus - coeffs @ sys_.phi_samples)) <= 1e-13
 
 
 class TestCMetric:
     def test_members_orthonormal(self, shifted_sys, shifted_c):
-        for n in (0, 1, 3):
-            for m in (0, 1, 3):
-                z = c_inner(shifted_c, shifted_sys.phi[n], shifted_sys.phi[m])
-                assert z == pytest.approx(1.0 if n == m else 0.0, abs=1e-8)
+        c_phi, _ = shifted_c
+        idx = [0, 1, 3]
+        z = krein_rows(shifted_sys.rule, c_phi[idx, np.newaxis], shifted_sys.phi_samples[np.newaxis, idx])
+        assert np.max(np.abs(z - np.eye(3))) <= 1e-8
 
     def test_positive_definite(self, shifted_sys, shifted_c, rng):
-        for f in span_functions(shifted_sys, 5, rng):
-            z = c_inner(shifted_c, f, f)
-            assert z.real > 0 and abs(z.imag) < 1e-10
+        c_phi, _ = shifted_c
+        coeffs = span_functions(shifted_sys, 5, rng)
+        z = krein_rows(shifted_sys.rule, coeffs @ c_phi, coeffs @ shifted_sys.phi_samples)
+        assert np.all(z.real > 0) and np.all(np.abs(z.imag) < 1e-10)
 
     def test_zero_generator_is_plain_inner(self, zero_sys):
-        c_op = make_c_symmetry(zero_sys.q, zero_sys.rule)
-        f = unit_vector(BASIS, 0)
-        g = unit_vector(BASIS, 2)
-        assert c_inner(c_op, f, g) == pytest.approx(inner(f, g), abs=1e-14)
-        assert c_inner(c_op, f, f) == pytest.approx(1.0, abs=1e-14)
+        c_phi, _ = c_tables(zero_sys)
+        e0, e2 = (SampleRep(zero_sys.rule, zero_sys.phi_samples[k]) for k in (0, 2))
+        assert krein_rows(zero_sys.rule, c_phi[0], e2.samples) == pytest.approx(inner(e0, e2), abs=1e-14)
+        assert krein_rows(zero_sys.rule, c_phi[0], e0.samples) == pytest.approx(1.0, abs=1e-14)
 
     def test_agrees_with_weighted_inner(self, shifted_sys, shifted_c, rng):
-        for f in span_functions(shifted_sys, 3, rng):
-            for gfun in span_functions(shifted_sys, 2, rng):
-                lhs = c_inner(shifted_c, f, gfun)
-                rhs = weighted_inner(shifted_sys.q, -1, f, gfun, shifted_sys.rule)
+        c_phi, _ = shifted_c
+        r = shifted_sys.rule
+        fs, gs = span_functions(shifted_sys, 3, rng), span_functions(shifted_sys, 2, rng)
+        gram = weighted_gram(shifted_sys, "phi", -1)
+        for a in fs:
+            for b in gs:
+                lhs = krein_rows(r, a @ c_phi, b @ shifted_sys.phi_samples)
+                rhs = weighted_inner(shifted_sys.q, -1, span_rep(shifted_sys, a), span_rep(shifted_sys, b), r)
                 assert abs(lhs - rhs) <= 1e-9
+                assert abs(a @ gram @ np.conj(b) - rhs) <= 1e-9
 
 
 class TestFundamentalSplit:
     def test_positive_member(self, shifted_sys, shifted_c):
-        fp, fm = fundamental_split(shifted_c, shifted_sys.phi[0])
-        fp_s = to_samples(fp, shifted_sys.rule).samples
-        fm_s = to_samples(fm, shifted_sys.rule).samples
-        assert np.max(np.abs(fp_s - shifted_sys.phi_samples[0])) <= 1e-8
-        assert np.max(np.abs(fm_s)) <= 1e-8
+        plus, minus = split_tables(shifted_sys, shifted_c[0])
+        assert np.max(np.abs(plus[0] - shifted_sys.phi_samples[0])) <= 1e-8
+        assert np.max(np.abs(minus[0])) <= 1e-8
 
     def test_negative_member(self, shifted_sys, shifted_c):
-        fp, fm = fundamental_split(shifted_c, shifted_sys.phi[1])
-        fp_s = to_samples(fp, shifted_sys.rule).samples
-        fm_s = to_samples(fm, shifted_sys.rule).samples
-        assert np.max(np.abs(fm_s - shifted_sys.phi_samples[1])) <= 1e-8
-        assert np.max(np.abs(fp_s)) <= 1e-8
+        plus, minus = split_tables(shifted_sys, shifted_c[0])
+        assert np.max(np.abs(minus[1] - shifted_sys.phi_samples[1])) <= 1e-8
+        assert np.max(np.abs(plus[1])) <= 1e-8
 
     def test_mixed_member_and_metric_identity(self, shifted_sys, shifted_c):
-        coeffs = np.zeros(2, dtype=complex)
-        coeffs[0] = shifted_sys.phi[0].coeffs[0]
-        coeffs[1] = shifted_sys.phi[1].coeffs[1]
-        f = CoefficientRep(BASIS, coeffs, 0.5j)  # phi_0 + phi_1
-        fp, fm = fundamental_split(shifted_c, f)
-        fp_s = to_samples(fp, shifted_sys.rule).samples
-        fm_s = to_samples(fm, shifted_sys.rule).samples
-        assert np.max(np.abs(fp_s - shifted_sys.phi_samples[0])) <= 1e-8
-        assert np.max(np.abs(fm_s - shifted_sys.phi_samples[1])) <= 1e-8
+        row = np.zeros(shifted_sys.n, dtype=complex)
+        row[:2] = 1.0  # phi_0 + phi_1
+        plus, minus = split_tables(shifted_sys, shifted_c[0])
+        fp, fm = row @ plus, row @ minus
+        assert np.max(np.abs(fp - shifted_sys.phi_samples[0])) <= 1e-8
+        assert np.max(np.abs(fm - shifted_sys.phi_samples[1])) <= 1e-8
         # exact reassembly
-        f_s = to_samples(f, shifted_sys.rule).samples
-        assert np.max(np.abs(fp_s + fm_s - f_s)) <= 1e-15
+        assert np.max(np.abs(fp + fm - row @ shifted_sys.phi_samples)) <= 1e-15
 
     def test_split_sign_and_orthogonality(self, shifted_sys, shifted_c, rng):
-        for f in span_functions(shifted_sys, 3, rng):
-            g = span_functions(shifted_sys, 1, rng)[0]
-            fp, fm = fundamental_split(shifted_c, f)
-            gp, gm = fundamental_split(shifted_c, g)
-            r = shifted_sys.rule
-            kpp = krein_inner(to_samples(fp, r), to_samples(fp, r))
-            kmm = krein_inner(to_samples(fm, r), to_samples(fm, r))
-            assert kpp.real >= -1e-8
-            assert kmm.real <= 1e-8
-            cross = krein_inner(to_samples(fp, r), to_samples(gm, r))
-            assert abs(cross) <= 1e-8
-            split_form = (
-                krein_inner(to_samples(fp, r), to_samples(gp, r))
-                - krein_inner(to_samples(fm, r), to_samples(gm, r))
-            )
-            assert abs(c_inner(shifted_c, f, g) - split_form) <= 1e-8
+        c_phi, _ = shifted_c
+        r = shifted_sys.rule
+        plus, minus = split_tables(shifted_sys, c_phi)
+        for a in span_functions(shifted_sys, 3, rng):
+            b = span_functions(shifted_sys, 1, rng)[0]
+            fp, fm, gp, gm = a @ plus, a @ minus, b @ plus, b @ minus
+            assert krein_rows(r, fp, fp).real >= -1e-8
+            assert krein_rows(r, fm, fm).real <= 1e-8
+            assert abs(krein_rows(r, fp, gm)) <= 1e-8
+            split_form = krein_rows(r, fp, gp) - krein_rows(r, fm, gm)
+            assert abs(krein_rows(r, a @ c_phi, b @ shifted_sys.phi_samples) - split_form) <= 1e-8
 
 
 class TestExpansion:
-    def test_single_member_exact(self, shifted_sys, shifted_c):
-        assert expansion_residual(shifted_sys, shifted_c, shifted_sys.phi[3], 4) <= 1e-9
+    def test_single_member_exact(self, shifted_sys):
+        e = weighted_samples(shifted_sys, "phi", -1)
+        assert expansion_residual(shifted_sys, shifted_sys.phi_samples[3:4], e[3:4], 4)[0] <= 1e-9
 
-    def test_span_functions_exact(self, shifted_sys, shifted_c, rng):
-        for f in span_functions(shifted_sys, 5, rng):
-            assert expansion_residual(shifted_sys, shifted_c, f) <= 1e-8
+    def test_span_functions_exact(self, shifted_sys, rng):
+        coeffs = span_functions(shifted_sys, 5, rng)
+        e = weighted_samples(shifted_sys, "phi", -1)
+        assert np.max(expansion_residual(shifted_sys, coeffs @ shifted_sys.phi_samples, coeffs @ e)) <= 1e-8
 
     def test_gaussian_probe_converges(self, shifted_sys32):
-        c_op = make_c_symmetry(shifted_sys32.q, shifted_sys32.rule)
-        probe = gaussian_test_function()
-        r8 = expansion_residual(shifted_sys32, c_op, probe, 8)
-        r32 = expansion_residual(shifted_sys32, c_op, probe, 32)
-        assert r32 < r8
+        f, fw = sampled_pair(shifted_sys32, gaussian_test_function())
+        r8 = expansion_residual(shifted_sys32, f, fw, 8)
+        r32 = expansion_residual(shifted_sys32, f, fw, 32)
+        assert r32[0] < r8[0]
 
     @pytest.mark.parametrize("fixture", ["shifted_sys", "perturbed_sys"])
     def test_matches_member_loop(self, fixture, request, rng):
         sys_ = request.getfixturevalue(fixture)
-        c_op = make_c_symmetry(sys_.q, sys_.rule)
         r, w = sys_.rule, sys_.rule.dx_weights
         signs = np.array(sign_sequence(sys_))
-        for f in span_functions(sys_, 3, rng):
-            alphas = signs * (np.conj(sys_.phi_samples) @ (w * to_samples(f, r).samples[::-1]))
+        for row in span_functions(sys_, 3, rng):
+            f = span_rep(sys_, row)
+            fs, fw = sampled_pair(sys_, f)
+            alphas = signs * (np.conj(sys_.phi_samples) @ (w * fs[0, ::-1]))
             for m in (4, sys_.n):
-                u = to_samples(apply_exp_q(sys_.q, -0.5, f, r), r).samples.copy()
+                u = fw[0].copy()
                 for n in range(m):
                     u -= alphas[n] * to_samples(apply_exp_q(sys_.q, -0.5, sys_.phi[n], r), r).samples
                 want = math.sqrt(abs(np.sum(w * np.abs(u) ** 2)))
-                assert expansion_residual(sys_, c_op, f, m) == pytest.approx(want, abs=1e-14)
+                assert expansion_residual(sys_, fs, fw, m)[0] == pytest.approx(want, abs=1e-14)
 
-    def test_needs_first_type(self, example1_sys, shifted_c):
+    def test_needs_first_type(self, example1_sys):
+        f = example1_sys.phi_samples[:1]
         with pytest.raises(StructureError):
-            expansion_residual(example1_sys, shifted_c, example1_sys.phi[0])
+            expansion_residual(example1_sys, f, f)
 
     def test_truncated_system_consistency(self, shifted_sys32):
-        c_op = make_c_symmetry(shifted_sys32.q, shifted_sys32.rule)
         small = truncated(shifted_sys32, 8)
-        probe = gaussian_test_function()
-        a = expansion_residual(shifted_sys32, c_op, probe, 8)
-        b = expansion_residual(small, c_op, probe)
-        assert a == pytest.approx(b, rel=1e-12)
+        f, fw = sampled_pair(shifted_sys32, gaussian_test_function())
+        a = expansion_residual(shifted_sys32, f, fw, 8)
+        b = expansion_residual(small, f, fw)
+        assert a[0] == pytest.approx(b[0], rel=1e-12)
+
+
+def test_grams_are_cached_read_only(shifted_sys):
+    k = krein_gram(shifted_sys)
+    assert k is krein_gram(shifted_sys) and not k.flags.writeable
+    assert shifted_sys.parity is shifted_sys.parity
+    assert shifted_sys.biorth_gram is shifted_sys.biorth_gram and not shifted_sys.biorth_gram.flags.writeable
+    # a replaced or truncated system starts with empty caches
+    assert krein_gram(truncated(shifted_sys, 4)).shape == (4, 4)

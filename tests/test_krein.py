@@ -15,8 +15,6 @@ from grslab import (
     hermite_basis,
     inner,
     krein_inner,
-    lincomb,
-    norm,
     to_samples,
     unit_vector,
 )
@@ -79,7 +77,7 @@ class TestInner:
                 assert z == pytest.approx(1.0 if n == m else 0.0, abs=1e-15)
 
     def test_sesquilinearity_example(self):
-        f = lincomb([(2.0, unit_vector(BASIS, 0)), (1j, unit_vector(BASIS, 1))])
+        f = coeff([2.0, 1j])  # 2 e_0 + i e_1
         assert inner(f, unit_vector(BASIS, 1)) == pytest.approx(1j, abs=1e-15)
 
     @given(st.integers(0, 100000))
@@ -136,8 +134,8 @@ class TestKreinInner:
         assert krein_inner(e0, e0).real == pytest.approx(1.0, abs=1e-15)
 
     def test_cauchy_schwarz_violation(self):
-        f = lincomb([(1.0, unit_vector(BASIS, 0)), (1.0, unit_vector(BASIS, 1))])
-        g = lincomb([(1.0, unit_vector(BASIS, 0)), (-1.0, unit_vector(BASIS, 1))])
+        f = coeff([1.0, 1.0])  # e_0 + e_1
+        g = coeff([1.0, -1.0])  # e_0 - e_1
         lhs = abs(krein_inner(f, g)) ** 2
         rhs = abs(krein_inner(f, f) * krein_inner(g, g))
         assert lhs > rhs + 1.0  # |[f,g]|^2 = 4 while [f,f] = [g,g] = 0
@@ -184,22 +182,6 @@ class TestGram:
 
 
 class TestRepresentations:
-    def test_lincomb_coefficient_path(self):
-        f = lincomb([(2.0, unit_vector(BASIS, 0)), (3.0j, unit_vector(BASIS, 2))])
-        assert isinstance(f, CoefficientRep)
-        assert f.coeffs[0] == 2.0 and f.coeffs[2] == 3.0j
-
-    def test_lincomb_mixed_needs_rule(self):
-        f = unit_vector(BASIS, 0)
-        s = to_samples(unit_vector(BASIS, 1), RULE)
-        with pytest.raises(StructureError):
-            lincomb([(1.0, f), (1.0, s)])
-        both = lincomb([(1.0, f), (1.0, s)], RULE)
-        assert isinstance(both, SampleRep)
-
-    def test_norm_of_unit_vectors(self):
-        assert norm(unit_vector(BASIS, 3)) == pytest.approx(1.0, rel=1e-15)
-
     def test_evaluate_matches_sampling(self):
         from grslab import evaluate
 
