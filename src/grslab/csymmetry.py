@@ -113,12 +113,8 @@ def parity_eigenvector_defect(basis: BasisSet) -> float:
     """
     if basis.is_analytic:
         return 0.0
-    worst = 0.0
-    for n in range(basis.size):
-        v = basis.vectors[:, n]
-        s = basis.parity_signs[n]
-        worst = max(worst, float(np.max(np.abs(v[::-1] - s * v)) / np.max(np.abs(v))))
-    return worst
+    v, s = basis.vectors, np.asarray(basis.parity_signs)
+    return float(np.max(np.max(np.abs(v[::-1] - s * v), axis=0) / np.max(np.abs(v), axis=0)))
 
 
 def classify_type(sys: BiorthogonalSystem, tol: float = TOL_KREIN) -> TypeClassification:

@@ -18,6 +18,7 @@ DEFAULT_BETA = 4.0              # default anharmonic exponent
 DEFAULT_NMAX = 12               # default index cap for overlap comparisons
 RNG_SEED = 20250809             # seed for every randomized suite (determinism)
 GQ_TEST_BASIS = 64              # expansion length of the Gaussian test function
+GQ_MIN_N = 32                   # smallest truncation whose suite checks the quasi-basis resolution
 QUAD_ORDER_PAD = 40             # Gauss-Hermite order = 2N + pad
 GRID_MARGIN = 6.0               # uniform half-width = sqrt(2N+1) + margin
 POINTS_PER_UNIT = 16            # minimum uniform-grid density

@@ -89,6 +89,11 @@ class BiorthogonalSystem:
         w = self.rule.dx_weights
         return _readonly((self.phi_samples * w) @ np.conj(self.psi_samples.T))
 
+    @cached_property
+    def phi_weighted_gram(self) -> NDArray:
+        """W[n, m] = <exp(-Q/2) phi_n, exp(-Q/2) phi_m>; see :func:`weighted_gram`."""
+        return _readonly(weighted_gram(self, "phi", -1))
+
     @property
     def biorth_defect(self) -> float:
         """max_{n,m} |<phi_n, psi_m> - delta_nm|."""
@@ -361,21 +366,15 @@ def family_samples(
     which: str,
     rule: QuadratureRule | None = None,
 ) -> np.ndarray:
-    """Rows of phi, psi or e sampled on ``rule`` (the working rule by default).
+    """Rows of phi or psi sampled on ``rule`` (the working rule by default).
 
     Analytic systems can be re-materialized on any rule; numeric bases exist
     only on their own grid.
     """
-    if which not in ("phi", "psi", "e"):
-        raise DomainError(f"which must be phi, psi or e, got {which!r}")
+    if which not in ("phi", "psi"):
+        raise DomainError(f"which must be phi or psi, got {which!r}")
     if rule is None or rule is sys.rule:
-        if which == "phi":
-            return np.asarray(sys.phi_samples)
-        if which == "psi":
-            return np.asarray(sys.psi_samples)
-        return sys.basis.table(sys.rule)[: sys.n]
-    if which == "e":
-        return sys.basis.table(rule)[: sys.n]  # StructureError for numeric bases
+        return np.asarray(sys.phi_samples if which == "phi" else sys.psi_samples)
     if isinstance(sys.q, Multiplication):
         t = 0.5 if which == "phi" else -0.5
         return np.exp(t * sys.q.values(rule.nodes)) * sys.basis.table(rule)[: sys.n]

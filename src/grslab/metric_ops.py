@@ -168,15 +168,12 @@ def _grid_evidence(q_op: Multiplication, rule: QuadratureRule) -> float:
     """max_f || J e^{-Q} f - e^{Q} J f || / ||f|| over a small test family."""
     x = rule.nodes
     table = hermite_function_table(3, x)
-    tests = [table[0], table[1], table[2], (table[0] + table[3]) / math.sqrt(2.0)]
+    tests = np.vstack([table[:3], (table[0] + table[3]) / math.sqrt(2.0)])
     ql = _checked_exp(-q_op.values(x))
     qr = _checked_exp(q_op.values(x))
-    worst = 0.0
-    for v in tests:
-        left = (ql * v)[::-1]
-        right = qr * v[::-1]
-        worst = max(worst, float(rule.norm(left - right) / rule.norm(v)))
-    return worst
+    left = (ql * tests)[:, ::-1]
+    right = qr * tests[:, ::-1]
+    return float(np.max(rule.norm(left - right) / rule.norm(tests)))
 
 
 def _translation_evidence(q_op: TranslationGenerator, rule: QuadratureRule) -> float:

@@ -40,19 +40,22 @@ class Check:
     passed: bool
     wall_time_s: float
     error: str | None = None
+    #: where the tolerance came from: ``flag``, ``config`` or ``default:NAME``
+    tolerance_source: str | None = None
 
     def as_dict(self) -> dict:
         return {
             "name": self.name,
             "value": self.value,
             "tolerance": self.tolerance,
+            "tolerance_source": self.tolerance_source,
             "pass": self.passed,
             "wall_time_s": self.wall_time_s,
             "error": self.error,
         }
 
 
-def run_check(name: str, tolerance: float, fn: Callable[[], float]) -> Check:
+def run_check(name: str, tolerance: float, fn: Callable[[], float], source: str | None = None) -> Check:
     """Evaluate one defect number; library errors mark the check failed."""
     start = time.perf_counter()
     error = None
@@ -66,7 +69,7 @@ def run_check(name: str, tolerance: float, fn: Callable[[], float]) -> Check:
         error = f"{type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start
     passed = value is not None and abs(value) <= tolerance
-    return Check(name, value, float(tolerance), bool(passed), elapsed, error)
+    return Check(name, value, float(tolerance), bool(passed), elapsed, error, source)
 
 
 @dataclass

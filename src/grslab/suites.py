@@ -1,0 +1,294 @@
+"""Verification suites: which checks a catalog system runs, in what order,
+against which tolerance.
+
+``SUITES`` holds one table per catalog id, ``OVERLAP`` one for the overlap
+comparison.  A row is (check name, tolerance name, defect of the run
+context).  The tolerance name is a resolved setting (``tol_biorth``,
+``tol_krein``) or a name in :mod:`grslab.defaults`, and each check records
+its source: ``flag``, ``config`` or ``default:NAME``.  Folds over defect
+terms use ``np.max``: a nan term must fail, and Python's ``max(0.0, nan)``
+is 0.0.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
+
+import numpy as np
+
+from . import defaults as dflt
+from .basis import (
+    gauss_hermite_rule,
+    hermite_basis,
+    hermite_function_table,
+    hermite_half_width,
+    uniform_trapezoid_rule,
+)
+from .csymmetry import (
+    c_squared_residual,
+    c_tables,
+    classify_type,
+    expansion_residual,
+    j_orthonormality_defect,
+    jc_positivity_value,
+    krein_gram,
+    krein_rows,
+    partner_check,
+)
+from .grs import (
+    BiorthogonalSystem,
+    biorthogonality_defect,
+    family_samples,
+    g0_quadratic_check,
+    gq_basis_defect,
+    weighted_gram,
+    weighted_samples,
+)
+from .hamiltonian import eigen_residual, fd_matrix
+from .krein import CoefficientRep
+from .report import Check, run_check
+
+__all__ = [
+    "Run",
+    "SUITES",
+    "OVERLAP",
+    "run_suite",
+    "run_overlap",
+    "gaussian_test_function",
+    "span_functions",
+]
+
+# ---------------------------------------------------------------------------
+# shared test-function constructions (also used by the acceptance suite)
+# ---------------------------------------------------------------------------
+
+def gaussian_test_function(size: int = dflt.GQ_TEST_BASIS) -> CoefficientRep:
+    """Normalized exp(-x^2) as a Hermite expansion of the given length.
+
+    The coefficients fall off geometrically, so the truncation sits at
+    machine noise long before the default length; normalizing the vector
+    makes the function exactly unit in the Hilbert norm.
+    """
+    basis = hermite_basis(size)
+    rule = gauss_hermite_rule(2 * size + dflt.QUAD_ORDER_PAD, 1.0)
+    table = hermite_function_table(size - 1, rule.nodes)
+    coeffs = (table * rule.dx_weights) @ np.exp(-rule.nodes**2)
+    coeffs = coeffs.astype(complex)
+    coeffs /= np.linalg.norm(coeffs)
+    return CoefficientRep(basis, coeffs)
+
+
+def span_functions(sys: BiorthogonalSystem, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Random unit-coefficient combinations of the phi family, one
+    (count x N) row per function: f_i = sum_n coeffs[i, n] phi_n."""
+    coeffs = np.empty((count, sys.n), dtype=complex)
+    for row in coeffs:
+        row[:] = rng.standard_normal(sys.n) + 1j * rng.standard_normal(sys.n)
+        row /= np.linalg.norm(row)
+    return coeffs
+
+
+# ---------------------------------------------------------------------------
+# individual defect numbers
+# ---------------------------------------------------------------------------
+
+def weighted_onb_defect(sys: BiorthogonalSystem) -> float:
+    """Worst deviation of the two weighted family Grams from the identity."""
+    grams = (sys.phi_weighted_gram, weighted_gram(sys, "psi", 1))
+    return float(np.max([np.max(np.abs(g - np.eye(sys.n))) for g in grams]))
+
+
+def c_metric_consistency_defect(sys: BiorthogonalSystem, coeffs: np.ndarray) -> float:
+    """Consistency triangle between [Cf, g], the factored weighted product
+    and the fundamental-split form, plus the split sign conditions, over the
+    span-row pairs (f, g) = (row i, row i + 1), i < 3."""
+    i = np.arange(min(3, len(coeffs)))
+    a, b = coeffs[i], coeffs[(i + 1) % len(coeffs)]
+    # <exp(-Q/2) f, exp(-Q/2) g> = a W b^H
+    v2 = np.sum((a @ sys.phi_weighted_gram) * np.conj(b), axis=1)
+    c_phi = c_tables(sys)[0]
+    f, g, cf, cg = a @ sys.phi_samples, b @ sys.phi_samples, a @ c_phi, b @ c_phi
+    v1 = krein_rows(sys.rule, cf, g)
+    # f = f_+ + f_- along the projectors (I +- C)/2
+    fp, fm, gp, gm = (f + cf) / 2, (f - cf) / 2, (g + cg) / 2, (g - cg) / 2
+    v3 = krein_rows(sys.rule, fp, gp) - krein_rows(sys.rule, fm, gm)
+    cross = np.abs(krein_rows(sys.rule, fp, gm))
+    pos = np.maximum(0.0, -krein_rows(sys.rule, fp, fp).real)
+    neg = np.maximum(0.0, krein_rows(sys.rule, fm, fm).real)
+    return float(np.max([np.abs(v1 - v2), np.abs(v1 - v3), cross, pos, neg]))
+
+
+def _fd_grid(n_top: int):
+    """Default residual grid: half-width 12 covers indices up to ~5; the
+    turning-point rule takes over beyond that."""
+    half = max(dflt.FD_HALF_WIDTH, hermite_half_width(n_top))
+    points = max(dflt.FD_POINTS, int(2 * half * dflt.POINTS_PER_UNIT))
+    return uniform_trapezoid_rule(half, points)
+
+
+def _worst_eigen_residual(terms) -> float:
+    """Largest residual over (operator, samples, eigenvalue) terms."""
+    return float(np.max([eigen_residual(hd, f, lam) for hd, f, lam in terms]))
+
+
+def shifted_ho_eigen_defect(sys: BiorthogonalSystem, a: float, n_top: int = 3) -> float:
+    hd = fd_matrix("shifted_ho", _fd_grid(n_top), a=a)
+    return _worst_eigen_residual((hd, sys.phi[n], 2 * n + 1 + a * a) for n in range(min(n_top + 1, sys.n)))
+
+
+def example1_eigen_defect(sys: BiorthogonalSystem, n_top: int = 3) -> float:
+    grid = _fd_grid(n_top)
+    # the phi ladder under the operator, the psi ladder under its adjoint
+    pairs = [(fd_matrix(kind, grid), family_samples(sys, which, grid))
+             for kind, which in (("example1", "phi"), ("example1_adjoint", "psi"))]
+    return _worst_eigen_residual(
+        (hd, table[n], n + 0.5) for n in range(min(n_top + 1, sys.n)) for hd, table in pairs
+    )
+
+
+def perturbed_eigen_defect(sys: BiorthogonalSystem, beta: float, p_source: str, n_top: int = 3) -> float:
+    hd = fd_matrix("perturbed_anharmonic", sys.rule, beta=beta, p=p_source)
+    return _worst_eigen_residual(
+        (hd, np.asarray(sys.phi_samples[n]), sys.basis.energies[n]) for n in range(min(n_top + 1, sys.n))
+    )
+
+
+# ---------------------------------------------------------------------------
+# suite tables
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Run:
+    """What a suite's defects read: the built system, the settings the
+    command line resolved, and the suite's random stream."""
+
+    sys: BiorthogonalSystem
+    settings: dict
+    rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(dflt.RNG_SEED))
+
+    @cached_property
+    def span(self) -> np.ndarray:
+        """Ten random span functions, drawn when the first span check runs."""
+        return span_functions(self.sys, 10, self.rng)
+
+
+#: (check name, tolerance name, defect of the run context)
+Row = tuple[str, str, Callable[..., float]]
+
+
+def _g0_forms(run: Run, count: int = 50):
+    """(sum |c_n|^2, <sum c_n psi_n, sum c_n phi_n>) for random vectors c."""
+    for _ in range(count):
+        c = run.rng.standard_normal(run.sys.n) + 1j * run.rng.standard_normal(run.sys.n)
+        yield g0_quadratic_check(run.sys, c)
+
+
+def _gq_resolution(run: Run) -> float:
+    probe = gaussian_test_function()
+    return float(np.max(gq_basis_defect(run.sys, probe, probe)))
+
+
+def _classification_gap(run: Run) -> float:
+    got = classify_type(run.sys, run.settings["tol_krein"]).verdict
+    return 0.0 if got == run.settings["expect"] else 1.0
+
+
+_COMMON: tuple[Row, ...] = (
+    ("biorthogonality", "tol_biorth", lambda r: biorthogonality_defect(r.sys)),
+    ("weighted_orthonormality", "TOL_WEIGHTED_ONB", lambda r: weighted_onb_defect(r.sys)),
+    ("g0_agreement", "TOL_G0", lambda r: np.max([abs(s - q) for s, q in _g0_forms(r)])),
+    # draws stop at the first form that is not positive
+    ("g0_positivity", "VERDICT_TOL", lambda r: 0.0 if all(q > 0.0 for _, q in _g0_forms(r)) else 1.0),
+)
+
+
+def _first_type(partner_tol: str, eigen_tol: str, eigen: Callable[[Run], float]) -> tuple[Row, ...]:
+    return _COMMON + (
+        ("j_orthonormality", "tol_krein", lambda r: j_orthonormality_defect(r.sys)),
+        # max_n |[phi_n, phi_n] - (-1)^n|
+        ("sign_pattern", "tol_krein",
+         lambda r: np.max(np.abs(np.diag(krein_gram(r.sys)) - (-1.0) ** np.arange(r.sys.n)))),
+        ("partner", partner_tol, lambda r: partner_check(r.sys)),
+        ("classification", "VERDICT_TOL", _classification_gap),
+        ("c_squared", "TOL_C_SQUARED", lambda r: np.max(c_squared_residual(r.sys, r.span))),
+        ("jc_positivity", "VERDICT_TOL",
+         lambda r: 0.0 if np.all(jc_positivity_value(r.sys, r.span) > 0) else 1.0),
+        ("c_metric_consistency", "TOL_SPLIT", lambda r: c_metric_consistency_defect(r.sys, r.span)),
+        ("expansion", "TOL_EXPANSION", lambda r: np.max(expansion_residual(
+            r.sys, r.span[:5] @ r.sys.phi_samples, r.span[:5] @ weighted_samples(r.sys, "phi", -1)))),
+        ("gq_resolution", "TOL_GQ", _gq_resolution),
+        ("eigen_residuals", eigen_tol, eigen),
+    )
+
+
+SUITES: dict[str, tuple[Row, ...]] = {
+    "shifted_ho": _first_type(
+        "TOL_PARTNER", "TOL_EIGEN_RESIDUAL",
+        lambda r: shifted_ho_eigen_defect(r.sys, r.settings["a"]),
+    ),
+    "perturbed_anharmonic": _first_type(
+        "TOL_PARTNER_NUMERIC", "TOL_EIGEN_RESIDUAL_NUMERIC",
+        lambda r: perturbed_eigen_defect(r.sys, r.settings["beta"], r.settings["p"]),
+    ),
+    "example1": _COMMON + (
+        ("classification", "VERDICT_TOL", _classification_gap),
+        # how far | |[phi_0, phi_0]| - 1 | falls short of the required margin
+        ("negative_witness", "TOL_JITTER",
+         lambda r: np.maximum(0.0, dflt.WITNESS_MARGIN - abs(abs(krein_gram(r.sys)[0, 0]) - 1.0))),
+        ("indefinite_spot", "TOL_SPOT",
+         lambda r: abs(abs(krein_gram(r.sys)[0, 0]) - math.sqrt(2.0 / 3.0))),
+        ("eigen_residuals", "TOL_EIGEN_RESIDUAL", lambda r: example1_eigen_defect(r.sys)),
+    ),
+}
+
+
+def _even_index_sum(closed: np.ndarray) -> np.ndarray:
+    i = np.arange(len(closed))
+    return np.add.outer(i, i) % 2 == 0
+
+
+def overlap_rel_even(closed: np.ndarray, quad: np.ndarray) -> float:
+    """Worst relative gap of |quad| to the closed form where n + m is even."""
+    even = _even_index_sum(closed)
+    return float(np.max(np.abs(np.abs(quad[even]) - closed[even]) / closed[even]))
+
+
+def overlap_abs_odd(closed: np.ndarray, quad: np.ndarray) -> float:
+    """Largest |quad| where n + m is odd (the closed form vanishes there)."""
+    return float(np.max(np.abs(quad[~_even_index_sum(closed)]), initial=0.0))
+
+
+#: closed-form vs quadrature indefinite overlaps; the run context is the
+#: pair (closed, quad) of :func:`grslab.catalog.overlap_matrices`
+OVERLAP: tuple[Row, ...] = (
+    ("overlap_rel_even", "TOL_OVERLAP_REL", lambda cq: overlap_rel_even(*cq)),
+    ("overlap_abs_odd", "TOL_OVERLAP_ODD", lambda cq: overlap_abs_odd(*cq)),
+    ("radical_scope_pin", "TOL_SPOT", lambda cq: abs(cq[0][0, 0] - math.sqrt(2.0 / 3.0))),
+)
+
+
+def _run_rows(rows, context, resolved: dict, sources: dict) -> list[Check]:
+    checks = []
+    for name, tol_name, defect in rows:
+        if tol_name in resolved:
+            tol, source = resolved[tol_name], sources[tol_name]
+        else:
+            tol, source = getattr(dflt, tol_name), f"default:{tol_name}"
+        checks.append(run_check(name, tol, lambda: defect(context), source))
+    return checks
+
+
+def run_suite(example: str, sys: BiorthogonalSystem, resolved: dict, sources: dict) -> list[Check]:
+    """Run the catalog id's table in order on a built system.  ``resolved``
+    and ``sources`` give each setting's value and source; they hold
+    ``tol_biorth``, ``tol_krein``, ``expect`` and the catalog's parameters."""
+    rows = [row for row in SUITES[example] if row[0] != "gq_resolution" or sys.n >= dflt.GQ_MIN_N]
+    return _run_rows(rows, Run(sys, resolved), resolved, sources)
+
+
+def run_overlap(closed: np.ndarray, quad: np.ndarray) -> list[Check]:
+    """The overlap comparison's checks on the closed-form and quadrature tables."""
+    return _run_rows(OVERLAP, (closed, quad), {}, {})

@@ -11,14 +11,14 @@ import time
 import numpy as np
 
 import grslab as g
-from grslab.cli import (
+from grslab.csymmetry import c_squared_residual, jc_positivity_value
+from grslab.grs import weighted_samples
+from grslab.suites import (
     example1_eigen_defect,
     gaussian_test_function,
     shifted_ho_eigen_defect,
     span_functions,
 )
-from grslab.csymmetry import c_squared_residual, jc_positivity_value
-from grslab.grs import weighted_samples
 
 
 def report(name: str, ok: bool, detail: str) -> None:

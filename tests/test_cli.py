@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from grslab import defaults as dflt
 from grslab.cli import main
 from grslab.report import VerificationReport, emit_json, run_check, write_matrix_csv
 
@@ -46,7 +47,9 @@ class TestVerifyShiftedHo:
         assert doc["example"] == "shifted_ho"
         assert doc["params"]["a"] == 0.5 and doc["params"]["n"] == 16
         for c in doc["checks"]:
-            assert set(c) == {"name", "value", "tolerance", "pass", "wall_time_s", "error"}
+            assert set(c) == {
+                "name", "value", "tolerance", "tolerance_source", "pass", "wall_time_s", "error",
+            }
 
     def test_expected_checks_present(self, outcome):
         names = {c["name"] for c in outcome[1]["checks"]}
@@ -65,11 +68,6 @@ class TestVerifyShiftedHo:
     def test_all_passed(self, outcome):
         assert all(c["pass"] for c in outcome[1]["checks"])
 
-    def test_tolerances_traceable(self, outcome):
-        sources = outcome[1]["settings"]["sources"]
-        assert sources["tol_biorth"].startswith("default:") or sources["tol_biorth"] == "flag"
-        assert "tol_krein" in sources and "tol_partner" in sources
-
     def test_matrix_csv(self, outcome):
         with open(outcome[2]) as fh:
             rows = list(csv.reader(fh))
@@ -79,6 +77,55 @@ class TestVerifyShiftedHo:
         for n, m, re, im in rows[1:]:
             gram[int(n), int(m)] = float(re) + 1j * float(im)
         assert np.max(np.abs(gram - np.eye(16))) < 1e-8
+
+
+#: the suites' check order, which stored reports and the benchmark's gate rely on
+COMMON_ORDER = ("biorthogonality", "weighted_orthonormality", "g0_agreement", "g0_positivity")
+FIRST_TYPE_ORDER = COMMON_ORDER + (
+    "j_orthonormality", "sign_pattern", "partner", "classification",
+    "c_squared", "jc_positivity", "c_metric_consistency", "expansion",
+)
+EXAMPLE1_ORDER = COMMON_ORDER + (
+    "classification", "negative_witness", "indefinite_spot", "eigen_residuals",
+)
+
+
+class TestSuiteTables:
+    @pytest.mark.parametrize("n", [8, 32])
+    @pytest.mark.parametrize("example", ["shifted-ho", "example1", "perturbed-anharmonic"])
+    def test_check_order_and_provenance(self, example, n, tmp_path):
+        path = tmp_path / "r.json"
+        assert main(["verify", example, "--n", str(n), "--json", str(path)]) == 0
+        checks = read_json(path)["checks"]
+        if example == "example1":
+            want = EXAMPLE1_ORDER
+        else:
+            want = FIRST_TYPE_ORDER + (("gq_resolution",) if n >= 32 else ()) + ("eigen_residuals",)
+        assert tuple(c["name"] for c in checks) == want
+        for c in checks:
+            kind, _, name = c["tolerance_source"].partition(":")
+            # no flag or configuration file: every tolerance is a named default
+            assert kind == "default" and hasattr(dflt, name), c
+            assert getattr(dflt, name) == c["tolerance"], c
+
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    @pytest.mark.parametrize("example", ["shifted-ho", "perturbed-anharmonic"])
+    def test_tol_krein_source_recorded_per_check(self, example, by, tmp_path, monkeypatch):
+        argv = ["verify", example, "--n", "8", "--json", str(tmp_path / "r.json")]
+        if by == "flag":
+            argv += ["--tol-krein", "1e-5"]
+        else:
+            cfg = tmp_path / "krein.cfg"
+            cfg.write_text("tol_krein = 1e-5\n")
+            monkeypatch.setenv("GRSLAB_CONFIG", str(cfg))
+        assert main(argv) == 0
+        checks = {c["name"]: c for c in read_json(tmp_path / "r.json")["checks"]}
+        krein = ("j_orthonormality", "sign_pattern")
+        for name, c in checks.items():
+            if name in krein:
+                assert c["tolerance_source"] == by and c["tolerance"] == 1e-5
+            else:
+                assert c["tolerance_source"].startswith("default:"), c
 
 
 class TestVerifyOthers:
@@ -152,6 +199,9 @@ class TestOverlapCommand:
         assert all(c["pass"] for c in doc["checks"])
         names = {c["name"] for c in doc["checks"]}
         assert names == {"overlap_rel_even", "overlap_abs_odd", "radical_scope_pin"}
+        assert [c["tolerance_source"] for c in doc["checks"]] == [
+            "default:TOL_OVERLAP_REL", "default:TOL_OVERLAP_ODD", "default:TOL_SPOT",
+        ]
 
 
 class TestDeterminism:
@@ -324,6 +374,7 @@ class TestScalingGuard:
 
         # callers look these up through their own module globals
         for name, fn in (("weighted_inner", grslab.grs.weighted_inner),
+                         ("weighted_gram", grslab.grs.weighted_gram),
                          ("to_samples", grslab.krein.to_samples),
                          ("hermite_function_table", grslab.basis.hermite_function_table)):
             wrapper = counted(name, fn)
@@ -343,6 +394,8 @@ class TestScalingGuard:
         counts.clear()
         assert main(["verify", "shifted-ho", "--n", "16"]) == 0
         assert counts["hermite_function_table"] <= 25
+        # the phi Gram of the C-metric and of weighted orthonormality is formed once
+        assert counts["weighted_gram"] == 2
 
         # one Krein Gram per system
         sys_ = make_example(ExampleSpec(id="shifted_ho", a=0.5, n=8))

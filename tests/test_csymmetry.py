@@ -30,9 +30,9 @@ from grslab import (
     weighted_gram,
     weighted_inner,
 )
-from grslab.cli import gaussian_test_function, span_functions
 from grslab.csymmetry import c_squared_residual, jc_positivity_value
 from grslab.grs import weighted_samples
+from grslab.suites import gaussian_test_function, span_functions
 
 BASIS = hermite_basis(16)
 

@@ -26,7 +26,7 @@ from grslab import (
     weighted_inner,
     weighted_product,
 )
-from grslab.cli import gaussian_test_function
+from grslab.suites import gaussian_test_function
 
 BASIS = hermite_basis(16)
 

@@ -70,18 +70,18 @@ class TestFdAssembly:
 
 class TestEigenResiduals:
     def test_example1_ladder(self, example1_sys):
-        from grslab.cli import example1_eigen_defect
+        from grslab.suites import example1_eigen_defect
 
         assert example1_eigen_defect(example1_sys) <= 5e-3
 
     def test_shifted_ladder(self, shifted_sys):
-        from grslab.cli import shifted_ho_eigen_defect
+        from grslab.suites import shifted_ho_eigen_defect
 
         assert shifted_ho_eigen_defect(shifted_sys, 0.5) <= 5e-3
 
     def test_perturbed_ladder(self, perturbed_sys):
         from grslab.catalog import DEFAULT_P_SOURCE
-        from grslab.cli import perturbed_eigen_defect
+        from grslab.suites import perturbed_eigen_defect
 
         assert perturbed_eigen_defect(perturbed_sys, 4.0, DEFAULT_P_SOURCE) <= 1e-2
 
