@@ -5,14 +5,15 @@ basis; all the Hilbert-space identities asserted for such pairs are exposed
 as defect numbers rather than booleans, so the same kernels serve both
 pass/fail gates and convergence studies.
 
-Each family is evaluated once, as an (N x P) table on the working rule: one
-Hermite table at the shifted argument for translation generators, one
-pointwise exp(+-q/2) multiply of the basis table for multiplication symbols.
-The domain-decay gate, the Grams and the defects are matrix expressions over
-those tables (BLAS products), not loops over members or pairs.  Weighted
-inner products are always evaluated in the factored form
-<exp(sQ/2) f, exp(sQ/2) g>, which halves the dynamic range compared to
-applying exp(sQ) whole.
+A built system is two (N x P) sample tables on one working rule.  Every
+table of moved members exp(tQ) e_k comes from one dispatch over generator
+kinds, :func:`_moved_table`: one Hermite table at the complex-shifted
+argument for translation generators, pointwise exp(tq) multiplies of the
+member table for multiplication symbols.  The domain-decay gate, the Grams
+and the defects are matrix expressions over those tables (BLAS products),
+not loops over members or pairs.  Weighted inner products are always
+evaluated in the factored form <exp(sQ/2) f, exp(sQ/2) g>, which halves the
+dynamic range compared to applying exp(sQ) whole.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from numpy.typing import NDArray
 from .basis import BasisSet, QuadratureRule, _readonly, hermite_function_table
 from .defaults import DECAY_THRESHOLD, QUAD_ORDER_PAD
 from .errors import DomainError, MagnitudeError, NumericError, StructureError
-from .krein import CoefficientRep, FunctionRep, SampleRep, inner, to_samples, unit_vector
+from .krein import FunctionRep, SampleRep, inner, to_samples
 from .metric_ops import (
     MetricOperatorQ,
     Multiplication,
@@ -59,22 +60,17 @@ __all__ = [
 class BiorthogonalSystem:
     """The triple ({e_n}, {phi_n}, {psi_n}) at truncation size n.
 
-    ``phi``/``psi`` hold the most structured representation each generator
-    admits (coefficient form with an exact argument shift for translation
-    generators, samples for multiplication symbols); ``phi_samples`` and
-    ``psi_samples`` cache the same families on the working rule for
-    quadrature work.  Values are immutable after build, so the Grams and the
-    parity verdict below are computed once, on first use, and returned
-    read-only; ``dataclasses.replace`` and :func:`truncated` build fresh
-    instances with empty caches.
+    ``phi_samples`` and ``psi_samples`` are the two families sampled on the
+    working rule, one row per member.  Values are immutable after build, so
+    the Grams and the parity verdict below are computed once, on first use,
+    and returned read-only; ``dataclasses.replace`` and :func:`truncated`
+    build fresh instances with empty caches.
     """
 
     basis: BasisSet
     q: MetricOperatorQ
     n: int
     rule: QuadratureRule
-    phi: tuple[FunctionRep, ...]
-    psi: tuple[FunctionRep, ...]
     phi_samples: NDArray
     psi_samples: NDArray
     min_decay_score: float
@@ -113,8 +109,14 @@ class BiorthogonalSystem:
         return anticommutes_with_parity(self.q, self.rule)
 
 
-#: exponents of the phi and psi families, in the order the decay gate checks them
-_HALVES = (0.5, -0.5)
+#: exponent t of each family's exp(tQ) e_n, in the order the decay gate checks them
+_EXPONENTS = {"phi": 0.5, "psi": -0.5}
+
+
+def _exponent(which: str) -> float:
+    if which not in _EXPONENTS:
+        raise DomainError(f"which must be phi or psi, got {which!r}")
+    return _EXPONENTS[which]
 
 
 def _member_table(
@@ -132,27 +134,33 @@ def _member_table(
     return basis.table(rule)[:n]
 
 
-def _shift(sys: BiorthogonalSystem, which: str) -> complex:
-    """The argument shift every member of a translation family shares."""
-    return (sys.phi if which == "phi" else sys.psi)[0].shift
+def _moved_table(
+    q_op: MetricOperatorQ,
+    basis: BasisSet,
+    n: int,
+    rule: QuadratureRule,
+    t: float,
+    family: tuple[float, np.ndarray] | None = None,
+) -> np.ndarray:
+    """exp(tQ) applied to each of n members on ``rule``: a fresh complex
+    C-ordered table, one row per member.
 
-
-def _moved_family(
-    q_op: MetricOperatorQ, basis: BasisSet, n: int, t: float, rule: QuadratureRule
-) -> tuple[tuple[FunctionRep, ...], np.ndarray]:
-    """exp(tQ) e_k for k < n: the member representations and their samples.
-
-    Translation samples are one member table at the shifted argument,
-    multiplication samples one pointwise multiply of the member table.
+    The members are the basis members e_k, k < n, or, given ``family =
+    (t0, table)``, the members exp(t0 Q) e_k already sampled on ``rule``.
+    Translation evaluates one member table at the argument shift
+    2ia(t0 + t), which is exact and needs the analytic basis.
+    Multiplication multiplies the table pointwise by exp(tq), with the
+    overflow checks of :func:`multiply_exp_q`.
     """
+    t0, table = (0.0, None) if family is None else family
     if isinstance(q_op, Multiplication):
-        moved = multiply_exp_q(q_op, t, _member_table(basis, n, rule), rule)
-        # C order: numeric member tables are transposed views, and the rows
-        # below must be views of the very table the system keeps
-        table = np.ascontiguousarray(moved, dtype=complex)
-        return tuple(SampleRep(rule, row) for row in table), table
-    reps = tuple(apply_exp_q(q_op, t, unit_vector(basis, k), rule) for k in range(n))
-    return reps, _member_table(basis, n, rule, reps[0].shift)
+        if table is None:
+            table = _member_table(basis, n, rule)
+        # C order: numeric member tables are transposed views
+        return np.ascontiguousarray(multiply_exp_q(q_op, t, table, rule), dtype=complex)
+    if not basis.is_analytic:
+        raise StructureError("translation generators act on the analytic Hermite basis")
+    return _member_table(basis, n, rule, 2j * q_op.a * (t0 + t))
 
 
 def build_system(
@@ -174,35 +182,32 @@ def build_system(
     if rule is None:
         rule = working_rule(basis, 2 * n + QUAD_ORDER_PAD if quad_order is None else quad_order)
 
-    families = {}
-    scores = np.zeros((n, len(_HALVES)))
-    for j, t in enumerate(_HALVES):
+    halves = tuple(_EXPONENTS.values())
+    tables = {}
+    scores = np.zeros((n, len(halves)))
+    for j, t in enumerate(halves):
         try:
-            families[t] = _moved_family(q_op, basis, n, t, rule)
+            tables[t] = _moved_table(q_op, basis, n, rule, t)
         except MagnitudeError:
             continue
-        scores[:, j] = 1.0 - outer_mass_fraction(families[t][1], rule)
+        scores[:, j] = 1.0 - outer_mass_fraction(tables[t], rule)
     bad = np.argwhere(scores < decay_threshold)
     if bad.size:
         k, j = bad[0]
         raise DomainError(
-            f"basis member {k}: exp({_HALVES[j]:+g} Q) mass escapes the window "
+            f"basis member {k}: exp({halves[j]:+g} Q) mass escapes the window "
             f"(score {scores[k, j]:.3f} < {decay_threshold}); the generator does not "
             "admit this basis at the working resolution"
         )
-    (phi, phi_s), (psi, psi_s) = (
-        families.get(t) or _moved_family(q_op, basis, n, t, rule) for t in _HALVES
-    )
+    phi, psi = (tables[t] if t in tables else _moved_table(q_op, basis, n, rule, t) for t in halves)
 
     return BiorthogonalSystem(
         basis=basis,
         q=q_op,
         n=int(n),
         rule=rule,
-        phi=phi,
-        psi=psi,
-        phi_samples=phi_s,
-        psi_samples=psi_s,
+        phi_samples=phi,
+        psi_samples=psi,
         min_decay_score=float(np.min(scores)),
     )
 
@@ -290,13 +295,6 @@ def weighted_inner(
         raise DomainError(f"sign must be -1 or +1, got {sign!r}")
     tf = apply_exp_q(q_op, 0.5 * sign, f, rule)
     tg = apply_exp_q(q_op, 0.5 * sign, g, rule)
-    if (
-        isinstance(tf, CoefficientRep)
-        and isinstance(tg, CoefficientRep)
-        and tf.shift == 0
-        and tg.shift == 0
-    ):
-        return inner(tf, tg)
     if rule is None:
         if isinstance(tf, SampleRep):
             rule = tf.rule
@@ -316,45 +314,22 @@ def weighted_product(
     return lambda f, g: weighted_inner(q_op, sign, f, g, rule)
 
 
-def _weighted_rows(sys: BiorthogonalSystem, which: str, sign: int) -> tuple[np.ndarray, bool]:
-    """exp(sign Q/2) applied to each phi or psi member, one row per member.
-
-    Multiplication acts pointwise on the cached table.  Translation moves
-    every member to one common shift: where that shift is zero the rows are
-    the members' unit coefficient vectors over the basis and the flag is
-    True (exact, no quadrature), otherwise they are the member table at the
-    shifted argument on the working rule.
-    """
-    if which not in ("phi", "psi"):
-        raise DomainError(f"which must be phi or psi, got {which!r}")
+def weighted_samples(sys: BiorthogonalSystem, which: str, sign: int) -> np.ndarray:
+    """Rows exp(sign Q/2) f_n, f = phi or psi, sampled on the working rule
+    (a fresh table)."""
+    t = _exponent(which)
     if sign not in (-1, 1):
         raise DomainError(f"sign must be -1 or +1, got {sign!r}")
-    t = 0.5 * sign
-    if isinstance(sys.q, Multiplication):
-        return multiply_exp_q(sys.q, t, family_samples(sys, which), sys.rule), False
-    shift = _shift(sys, which) + 2j * sys.q.a * t
-    if shift == 0:
-        return np.eye(sys.n, sys.basis.size, dtype=complex), True
-    return _member_table(sys.basis, sys.n, sys.rule, shift), False
+    family = (t, family_samples(sys, which))
+    return _moved_table(sys.q, sys.basis, sys.n, sys.rule, 0.5 * sign, family)
 
 
 def weighted_gram(sys: BiorthogonalSystem, which: str, sign: int) -> np.ndarray:
-    """W[n, m] = <exp(sign Q/2) f_n, exp(sign Q/2) f_m> for f = phi or psi.
-
-    Coefficient rows give the exact coefficient-space Gram (so a translation
-    system reads exactly the identity); sample rows one quadrature product.
-    """
-    rows, coefficients = _weighted_rows(sys, which, sign)
-    if coefficients:
-        return rows @ np.conj(rows.T)
+    """W[n, m] = <exp(sign Q/2) f_n, exp(sign Q/2) f_m> for f = phi or psi,
+    one quadrature product for both generator kinds."""
+    rows = weighted_samples(sys, which, sign)
     weighted = rows * sys.rule.dx_weights
     return weighted @ np.conj(rows, out=rows).T  # rows are a fresh table
-
-
-def weighted_samples(sys: BiorthogonalSystem, which: str, sign: int) -> np.ndarray:
-    """Rows exp(sign Q/2) f_n, f = phi or psi, sampled on the working rule."""
-    rows, coefficients = _weighted_rows(sys, which, sign)
-    return rows @ _member_table(sys.basis, sys.basis.size, sys.rule) if coefficients else rows
 
 
 # ---------------------------------------------------------------------------
@@ -365,20 +340,21 @@ def family_samples(
     sys: BiorthogonalSystem,
     which: str,
     rule: QuadratureRule | None = None,
+    upto: int | None = None,
 ) -> np.ndarray:
-    """Rows of phi or psi sampled on ``rule`` (the working rule by default).
+    """The first ``upto`` rows (all by default) of phi or psi sampled on
+    ``rule`` (the working rule by default).
 
     Analytic systems can be re-materialized on any rule; numeric bases exist
     only on their own grid.
     """
-    if which not in ("phi", "psi"):
-        raise DomainError(f"which must be phi or psi, got {which!r}")
+    t = _exponent(which)
+    m = sys.n if upto is None else int(upto)
+    if not 1 <= m <= sys.n:
+        raise DomainError(f"upto must lie in [1, {sys.n}], got {m}")
     if rule is None or rule is sys.rule:
-        return np.asarray(sys.phi_samples if which == "phi" else sys.psi_samples)
-    if isinstance(sys.q, Multiplication):
-        t = 0.5 if which == "phi" else -0.5
-        return np.exp(t * sys.q.values(rule.nodes)) * sys.basis.table(rule)[: sys.n]
-    return _member_table(sys.basis, sys.n, rule, _shift(sys, which))
+        return np.asarray(sys.phi_samples if which == "phi" else sys.psi_samples)[:m]
+    return _moved_table(sys.q, sys.basis, m, rule, t)
 
 
 def truncated(sys: BiorthogonalSystem, m: int) -> BiorthogonalSystem:
@@ -390,8 +366,6 @@ def truncated(sys: BiorthogonalSystem, m: int) -> BiorthogonalSystem:
     return replace(
         sys,
         n=int(m),
-        phi=sys.phi[:m],
-        psi=sys.psi[:m],
         phi_samples=np.array(sys.phi_samples[:m]),
         psi_samples=np.array(sys.psi_samples[:m]),
     )

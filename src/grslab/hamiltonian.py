@@ -16,7 +16,6 @@ from . import symfun
 from .basis import QuadratureRule
 from .defaults import BOUNDARY_MASS, FD_MIN_POINTS
 from .errors import DomainError, ResolutionError, StructureError
-from .krein import to_samples
 
 __all__ = [
     "DifferentialHamiltonian",
@@ -133,18 +132,14 @@ def fd_apply(hd: DifferentialHamiltonian, values: np.ndarray) -> np.ndarray:
     return r
 
 
-def eigen_residual(hd: DifferentialHamiltonian, f, lam: complex) -> float:
-    """||H f - lam f||_2 / ||f||_2 over the interior nodes.
+def eigen_residual(hd: DifferentialHamiltonian, v: np.ndarray, lam: complex) -> float:
+    """||H v - lam v||_2 / ||v||_2 over the interior nodes, for samples ``v``
+    on the operator grid.
 
-    ``f`` may be a function representation (sampled onto the operator grid)
-    or a plain array of samples.  Functions with non-negligible boundary
-    magnitude are rejected: the Dirichlet stencil would charge the residual
-    with window truncation instead of discretization error.
+    Functions with non-negligible boundary magnitude are rejected: the
+    Dirichlet stencil would charge the residual with window truncation
+    instead of discretization error.
     """
-    if isinstance(f, np.ndarray):
-        v = f
-    else:
-        v = to_samples(f, hd.grid).samples
     sup = float(np.max(np.abs(v)))
     if sup == 0.0:
         raise DomainError("zero function has no eigen-residual")

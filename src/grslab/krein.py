@@ -9,6 +9,11 @@ acts exactly on coefficients and by sample reversal on symmetric grids.
 Products between coefficient form and sample form are deliberately not
 implicit: convert first with :func:`to_samples` so quadrature accuracy stays
 visible at the call site.
+
+These representations describe single functions, such as the quasi-basis
+probe and the pairwise reference products.  A built system holds its
+families as sample tables (:mod:`grslab.grs`), not as one representation per
+member.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from .defaults import (
     TOL_ODDNESS,
 )
 from .errors import DomainError, MagnitudeError, StructureError
-from .krein import CoefficientRep, FunctionRep, SampleRep, apply_parity, to_samples
+from .krein import CoefficientRep, FunctionRep, SampleRep, to_samples
 
 __all__ = [
     "Multiplication",
@@ -176,21 +176,6 @@ def _grid_evidence(q_op: Multiplication, rule: QuadratureRule) -> float:
     return float(np.max(rule.norm(left - right) / rule.norm(tests)))
 
 
-def _translation_evidence(q_op: TranslationGenerator, rule: QuadratureRule) -> float:
-    from .basis import hermite_basis
-    from .krein import unit_vector
-
-    basis = hermite_basis(4)
-    worst = 0.0
-    for n in range(4):
-        f = unit_vector(basis, n)
-        left = to_samples(apply_parity(apply_exp_q(q_op, -1.0, f)), rule)
-        right = to_samples(apply_exp_q(q_op, 1.0, apply_parity(f)), rule)
-        num = float(rule.norm(left.samples - right.samples))
-        worst = max(worst, num / max(float(rule.norm(right.samples)), 1e-300))
-    return worst
-
-
 def anticommutes_with_parity(
     q_op: MetricOperatorQ,
     rule: QuadratureRule | None = None,
@@ -200,18 +185,19 @@ def anticommutes_with_parity(
 
     Multiplication anticommutes exactly when its symbol is odd (checked to
     ``tol`` on the rule nodes); translation generators anticommute
-    structurally (parity conjugates d/dx to -d/dx).  The evidence is the
-    worst relative residual of J exp(-Q) f = exp(Q) J f over a small test
-    family and is infinite when that computation overflows.
+    structurally (parity conjugates d/dx to -d/dx).  For multiplication the
+    evidence is the worst relative residual of J exp(-Q) f = exp(Q) J f over
+    a small test family, infinite when that computation overflows; for
+    translation it is a structural 0.0.
     """
-    r = _evidence_rule(rule)
     if isinstance(q_op, TranslationGenerator):
-        verdict, evidence_of = "yes", _translation_evidence
-    else:
-        verdict = "yes" if symfun.is_odd_on(q_op.expr, r.nodes, tol) else "no"
-        evidence_of = _grid_evidence
+        # structural: parity flips the argument shift of the analytic
+        # expansion exactly, so there is no residual to measure
+        return ParityAnticommutation("yes", 0.0)
+    r = _evidence_rule(rule)
+    verdict = "yes" if symfun.is_odd_on(q_op.expr, r.nodes, tol) else "no"
     try:
-        evidence = evidence_of(q_op, r)
+        evidence = _grid_evidence(q_op, r)
     except MagnitudeError:
         evidence = math.inf
     return ParityAnticommutation(verdict, evidence)

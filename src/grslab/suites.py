@@ -135,18 +135,19 @@ def _worst_eigen_residual(terms) -> float:
 
 
 def shifted_ho_eigen_defect(sys: BiorthogonalSystem, a: float, n_top: int = 3) -> float:
-    hd = fd_matrix("shifted_ho", _fd_grid(n_top), a=a)
-    return _worst_eigen_residual((hd, sys.phi[n], 2 * n + 1 + a * a) for n in range(min(n_top + 1, sys.n)))
+    grid = _fd_grid(n_top)
+    hd = fd_matrix("shifted_ho", grid, a=a)
+    phi = family_samples(sys, "phi", grid, upto=min(n_top + 1, sys.n))
+    return _worst_eigen_residual((hd, row, 2 * n + 1 + a * a) for n, row in enumerate(phi))
 
 
 def example1_eigen_defect(sys: BiorthogonalSystem, n_top: int = 3) -> float:
     grid = _fd_grid(n_top)
+    m = min(n_top + 1, sys.n)
     # the phi ladder under the operator, the psi ladder under its adjoint
-    pairs = [(fd_matrix(kind, grid), family_samples(sys, which, grid))
+    pairs = [(fd_matrix(kind, grid), family_samples(sys, which, grid, upto=m))
              for kind, which in (("example1", "phi"), ("example1_adjoint", "psi"))]
-    return _worst_eigen_residual(
-        (hd, table[n], n + 0.5) for n in range(min(n_top + 1, sys.n)) for hd, table in pairs
-    )
+    return _worst_eigen_residual((hd, table[n], n + 0.5) for n in range(m) for hd, table in pairs)
 
 
 def perturbed_eigen_defect(sys: BiorthogonalSystem, beta: float, p_source: str, n_top: int = 3) -> float:

@@ -4,6 +4,14 @@ import pytest
 import grslab as g
 
 
+def member_reps(sys_, which):
+    """Reference path for a built family: each member exp(+-Q/2) e_k, k < n,
+    as its own FunctionRep (coefficients with an argument shift for
+    translation, samples on the working rule for multiplication)."""
+    t = 0.5 if which == "phi" else -0.5
+    return [g.apply_exp_q(sys_.q, t, g.unit_vector(sys_.basis, k), sys_.rule) for k in range(sys_.n)]
+
+
 @pytest.fixture(scope="session")
 def shifted_sys():
     return g.make_example(g.ExampleSpec(id="shifted_ho", a=0.5, n=16))

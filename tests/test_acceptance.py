@@ -172,11 +172,12 @@ def test_criterion_09_eigen_residuals(shifted_sys, example1_sys):
     fine = g.uniform_trapezoid_rule(12.0, 4000)
     h_c = g.fd_matrix("shifted_ho", coarse, a=0.5)
     h_f = g.fd_matrix("shifted_ho", fine, a=0.5)
+    phi_c, phi_f = (g.family_samples(shifted_sys, "phi", grid, upto=4) for grid in (coarse, fine))
     ratios = []
     for n in range(4):
         lam = 2 * n + 1 + 0.25
-        rc = g.eigen_residual(h_c, g.to_samples(shifted_sys.phi[n], coarse), lam)
-        rf = g.eigen_residual(h_f, g.to_samples(shifted_sys.phi[n], fine), lam)
+        rc = g.eigen_residual(h_c, phi_c[n], lam)
+        rf = g.eigen_residual(h_f, phi_f[n], lam)
         ratios.append(rc / rf)
     elapsed = time.perf_counter() - start
     ratios_ok = all(3.0 <= r <= 5.0 for r in ratios)

@@ -362,6 +362,7 @@ class TestScalingGuard:
         import grslab.basis
         import grslab.grs
         import grslab.krein
+        import grslab.metric_ops
         from grslab import ExampleSpec, krein_gram, make_example
 
         counts = collections.Counter()
@@ -376,6 +377,8 @@ class TestScalingGuard:
         for name, fn in (("weighted_inner", grslab.grs.weighted_inner),
                          ("weighted_gram", grslab.grs.weighted_gram),
                          ("to_samples", grslab.krein.to_samples),
+                         ("apply_exp_q", grslab.metric_ops.apply_exp_q),
+                         ("unit_vector", grslab.krein.unit_vector),
                          ("hermite_function_table", grslab.basis.hermite_function_table)):
             wrapper = counted(name, fn)
             for mod_name, mod in list(sys.modules.items()):
@@ -396,6 +399,8 @@ class TestScalingGuard:
         assert counts["hermite_function_table"] <= 25
         # the phi Gram of the C-metric and of weighted orthonormality is formed once
         assert counts["weighted_gram"] == 2
+        # the families are sample tables, not per-member representations
+        assert counts["apply_exp_q"] == 0 and counts["unit_vector"] == 0
 
         # one Krein Gram per system
         sys_ = make_example(ExampleSpec(id="shifted_ho", a=0.5, n=8))

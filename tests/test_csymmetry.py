@@ -34,6 +34,8 @@ from grslab.csymmetry import c_squared_residual, jc_positivity_value
 from grslab.grs import weighted_samples
 from grslab.suites import gaussian_test_function, span_functions
 
+from conftest import member_reps
+
 BASIS = hermite_basis(16)
 
 
@@ -60,8 +62,9 @@ def split_tables(sys_, c_phi):
 def span_rep(sys_, row):
     """One span row as a FunctionRep: exact coefficients for translation
     (every phi member carries the same argument shift), samples otherwise."""
-    if isinstance(sys_.phi[0], CoefficientRep):
-        return CoefficientRep(sys_.basis, row, sys_.phi[0].shift)
+    phi_0 = member_reps(sys_, "phi")[0]
+    if isinstance(phi_0, CoefficientRep):
+        return CoefficientRep(sys_.basis, row, phi_0.shift)
     return SampleRep(sys_.rule, row @ sys_.phi_samples)
 
 
@@ -89,13 +92,8 @@ class TestJOrthonormality:
 
     def test_phase_rescaling_invariance(self, shifted_sys, rng):
         phases = np.exp(1j * rng.uniform(0, 2 * math.pi, shifted_sys.n))
-        new_phi = tuple(
-            CoefficientRep(r.basis, phases[k] * r.coeffs, r.shift)
-            for k, r in enumerate(shifted_sys.phi)
-        )
         rescaled = dataclasses.replace(
             shifted_sys,
-            phi=new_phi,
             phi_samples=phases[:, None] * shifted_sys.phi_samples,
         )
         a = j_orthonormality_defect(shifted_sys)
@@ -324,10 +322,11 @@ class TestExpansion:
             f = span_rep(sys_, row)
             fs, fw = sampled_pair(sys_, f)
             alphas = signs * (np.conj(sys_.phi_samples) @ (w * fs[0, ::-1]))
+            phi = member_reps(sys_, "phi")
             for m in (4, sys_.n):
                 u = fw[0].copy()
                 for n in range(m):
-                    u -= alphas[n] * to_samples(apply_exp_q(sys_.q, -0.5, sys_.phi[n], r), r).samples
+                    u -= alphas[n] * to_samples(apply_exp_q(sys_.q, -0.5, phi[n], r), r).samples
                 want = math.sqrt(abs(np.sum(w * np.abs(u) ** 2)))
                 assert expansion_residual(sys_, fs, fw, m)[0] == pytest.approx(want, abs=1e-14)
 

@@ -8,6 +8,7 @@ from grslab import (
     apply_exp_q,
     DomainError,
     Multiplication,
+    StructureError,
     TranslationGenerator,
     biorthogonality_defect,
     build_system,
@@ -28,6 +29,8 @@ from grslab import (
 )
 from grslab.suites import gaussian_test_function
 
+from conftest import member_reps
+
 BASIS = hermite_basis(16)
 
 
@@ -40,8 +43,9 @@ class TestBuild:
     def test_translation_members_are_shifted_members(self, shifted_sys):
         # phi_n(x) = e_n(x + ia), sampled anywhere
         x = np.linspace(-2, 2, 7)
+        phi = member_reps(shifted_sys, "phi")
         for n in (0, 3, 9):
-            got = evaluate(shifted_sys.phi[n], x)
+            got = evaluate(phi[n], x)
             want = hermite_function(n, x + 0.5j)
             assert np.max(np.abs(got - want)) < 1e-14
 
@@ -56,6 +60,10 @@ class TestBuild:
     def test_truncation_bounds(self, zero_sys):
         with pytest.raises(DomainError):
             build_system(zero_sys.q, BASIS, 17)
+
+    def test_translation_needs_analytic_basis(self, perturbed_sys):
+        with pytest.raises(StructureError):
+            build_system(TranslationGenerator(0.5), perturbed_sys.basis, 4)
 
     @pytest.mark.parametrize(
         "symbol, n, named",
@@ -75,10 +83,8 @@ class TestBuild:
     @pytest.mark.parametrize("fixture", ["shifted_sys", "example1_sys", "perturbed_sys"])
     def test_tables_equal_member_samples(self, fixture, request):
         sys_ = request.getfixturevalue(fixture)
-        for t, reps, table in ((0.5, sys_.phi, sys_.phi_samples), (-0.5, sys_.psi, sys_.psi_samples)):
-            members = [apply_exp_q(sys_.q, t, unit_vector(sys_.basis, k), sys_.rule) for k in range(sys_.n)]
-            assert [type(r) for r in reps] == [type(m) for m in members]
-            rows = np.vstack([to_samples(m, sys_.rule).samples for m in members])
+        for which, table in (("phi", sys_.phi_samples), ("psi", sys_.psi_samples)):
+            rows = np.vstack([to_samples(m, sys_.rule).samples for m in member_reps(sys_, which)])
             assert np.array_equal(table, rows)
 
     def test_build_records_quality(self, shifted_sys):
@@ -160,32 +166,37 @@ class TestG0QuadraticForm:
 
 class TestWeightedInner:
     def test_phi_family_orthonormal_negative_sign(self, shifted_sys):
-        g = gram_matrix(list(shifted_sys.phi), weighted_product(shifted_sys.q, -1, shifted_sys.rule))
+        g = gram_matrix(member_reps(shifted_sys, "phi"), weighted_product(shifted_sys.q, -1, shifted_sys.rule))
         assert np.max(np.abs(g - np.eye(shifted_sys.n))) <= 1e-8
 
     def test_psi_family_orthonormal_positive_sign(self, example1_sys):
-        g = gram_matrix(list(example1_sys.psi), weighted_product(example1_sys.q, 1, example1_sys.rule))
+        g = gram_matrix(member_reps(example1_sys, "psi"), weighted_product(example1_sys.q, 1, example1_sys.rule))
         assert np.max(np.abs(g - np.eye(example1_sys.n))) <= 1e-8
 
     @pytest.mark.parametrize("fixture", ["shifted_sys", "example1_sys", "perturbed_sys"])
     def test_weighted_orthonormality_all_systems(self, fixture, request):
         sys_ = request.getfixturevalue(fixture)
-        for family, sign in ((sys_.phi, -1), (sys_.psi, 1)):
-            g = gram_matrix(list(family), weighted_product(sys_.q, sign, sys_.rule))
+        for which, sign in (("phi", -1), ("psi", 1)):
+            g = gram_matrix(member_reps(sys_, which), weighted_product(sys_.q, sign, sys_.rule))
             assert np.max(np.abs(g - np.eye(sys_.n))) <= 1e-8
 
     @pytest.mark.parametrize("fixture", ["shifted_sys", "example1_sys", "perturbed_sys"])
     @pytest.mark.parametrize("which, sign", [("phi", -1), ("psi", 1), ("phi", 1)])
     def test_weighted_gram_matches_pairwise(self, fixture, which, sign, request):
         sys_ = request.getfixturevalue(fixture)
-        family = list(sys_.phi if which == "phi" else sys_.psi)
-        want = gram_matrix(family, weighted_product(sys_.q, sign, sys_.rule))
+        want = gram_matrix(member_reps(sys_, which), weighted_product(sys_.q, sign, sys_.rule))
         got = weighted_gram(sys_, which, sign)
         assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
-    def test_weighted_gram_exact_for_translation(self, shifted_sys):
-        assert np.array_equal(weighted_gram(shifted_sys, "phi", -1), np.eye(shifted_sys.n))
-        assert np.array_equal(weighted_gram(shifted_sys, "psi", 1), np.eye(shifted_sys.n))
+    @pytest.mark.parametrize("a", [1.0, -1.3])
+    def test_translation_weighted_gram_is_the_pairwise_quadrature(self, a):
+        # a quadrature Gram, not an exact coefficient-space identity
+        sys_ = build_system(TranslationGenerator(a, cap=2.0), BASIS, 8)
+        for which, sign in (("phi", -1), ("psi", 1)):
+            want = gram_matrix(member_reps(sys_, which), weighted_product(sys_.q, sign, sys_.rule))
+            got = weighted_gram(sys_, which, sign)
+            assert np.max(np.abs(got - want)) <= 1e-14
+            assert np.max(np.abs(got - np.eye(sys_.n))) <= 1e-12
 
     def test_weighted_gram_validation(self, zero_sys):
         with pytest.raises(DomainError):
@@ -218,8 +229,9 @@ class TestRoundTrip:
 
         sys_ = request.getfixturevalue(fixture)
         table = sys_.basis.table(sys_.rule)
+        phi = member_reps(sys_, "phi")
         for n in range(0, sys_.n, 3):
-            back = to_samples(apply_exp_q(sys_.q, -0.5, sys_.phi[n], sys_.rule), sys_.rule)
+            back = to_samples(apply_exp_q(sys_.q, -0.5, phi[n], sys_.rule), sys_.rule)
             assert np.max(np.abs(back.samples - table[n])) <= 1e-9
 
     def test_truncated_prefix(self, shifted_sys):
@@ -233,6 +245,7 @@ class TestRoundTrip:
         phi = family_samples(shifted_sys, "phi", fine)
         want = hermite_function(3, fine.nodes + 0.5j)
         assert np.max(np.abs(phi[3] - want)) < 1e-13
+        assert np.array_equal(family_samples(shifted_sys, "phi", fine, upto=4), phi[:4])
 
     def test_rebuild_is_bit_identical(self):
         a = build_system(TranslationGenerator(0.5), BASIS, 8)
@@ -256,3 +269,8 @@ class TestBounds:
     def test_family_samples_validates_name(self, shifted_sys):
         with pytest.raises(DomainError):
             family_samples(shifted_sys, "chi")
+
+    @pytest.mark.parametrize("upto", [0, 17])
+    def test_family_samples_upto_bounds(self, shifted_sys, upto):
+        with pytest.raises(DomainError):
+            family_samples(shifted_sys, "phi", upto=upto)

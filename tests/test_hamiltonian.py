@@ -11,7 +11,6 @@ from grslab import (
     fd_apply,
     fd_matrix,
     gauss_hermite_rule,
-    to_samples,
     uniform_trapezoid_rule,
 )
 
@@ -85,13 +84,44 @@ class TestEigenResiduals:
 
         assert perturbed_eigen_defect(perturbed_sys, 4.0, DEFAULT_P_SOURCE) <= 1e-2
 
+    @pytest.mark.parametrize("example", ["example1", "shifted_ho"])
+    def test_eigen_defects_sample_only_the_rows_they_use(self, example, monkeypatch):
+        # the defects read members 0..3, so no table on the 4000-point
+        # finite-difference grid may carry more rows than that
+        import sys
+
+        import grslab.basis
+        from grslab import ExampleSpec, make_example
+        from grslab.suites import _fd_grid, example1_eigen_defect, shifted_ho_eigen_defect
+
+        sys_ = make_example(ExampleSpec(id=example, n=64, a=0.5 if example == "shifted_ho" else None))
+        real = grslab.basis.hermite_function_table
+        points = len(_fd_grid(3))
+        rows_on_grid = []
+
+        def spy(nmax, z):
+            if np.size(z) == points:
+                rows_on_grid.append(nmax + 1)
+            return real(nmax, z)
+
+        # callers look the table up through their own module globals
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("grslab") and getattr(mod, "hermite_function_table", None) is real:
+                monkeypatch.setattr(mod, "hermite_function_table", spy)
+        if example == "example1":
+            example1_eigen_defect(sys_)
+        else:
+            shifted_ho_eigen_defect(sys_, 0.5)
+        assert rows_on_grid and max(rows_on_grid) <= 4
+
     def test_second_order_convergence(self, shifted_sys):
         h_fine = fd_matrix("shifted_ho", GRID, a=0.5)
         h_coarse = fd_matrix("shifted_ho", COARSE, a=0.5)
+        phi_c, phi_f = (family_samples(shifted_sys, "phi", grid, upto=4) for grid in (COARSE, GRID))
         for n in range(4):
             lam = 2 * n + 1 + 0.25
-            r_c = eigen_residual(h_coarse, to_samples(shifted_sys.phi[n], COARSE), lam)
-            r_f = eigen_residual(h_fine, to_samples(shifted_sys.phi[n], GRID), lam)
+            r_c = eigen_residual(h_coarse, phi_c[n], lam)
+            r_f = eigen_residual(h_fine, phi_f[n], lam)
             assert 3.0 <= r_c / r_f <= 5.0
 
     def test_spectral_vs_differential(self, shifted_sys, rng):
