@@ -28,7 +28,7 @@ import numpy as np
 from .basis import BasisSet, QuadratureRule
 from .defaults import PARITY_CHECK_TOL, TOL_KREIN
 from .errors import DomainError, NotJOrthonormalError, StructureError
-from .grs import BiorthogonalSystem, weighted_samples
+from .grs import BiorthogonalSystem
 from .metric_ops import MetricOperatorQ, Multiplication, multiply_exp_q
 
 __all__ = [
@@ -184,16 +184,19 @@ def expansion_residual(
     sys: BiorthogonalSystem,
     f: np.ndarray,
     f_weighted: np.ndarray,
+    phi_weighted: np.ndarray,
     m: int | None = None,
     tol: float = TOL_KREIN,
 ) -> np.ndarray:
     """Residual of f = sum_n delta_n [f, phi_n] phi_n in the metric norm, per row.
 
-    ``f`` holds functions sampled on the working rule, one per row, and
-    ``f_weighted`` the same functions moved by exp(-Q/2).  The norm is
-    evaluated in factored form: exp(-Q/2) is applied term by term (it is
-    linear), and the plain norm of exp(-Q/2) f - sum_n alpha_n exp(-Q/2) phi_n
-    is returned; the sum is one product with the table of exp(-Q/2) phi_n.
+    ``f`` holds functions sampled on the working rule, one per row,
+    ``f_weighted`` the same functions moved by exp(-Q/2), and
+    ``phi_weighted`` the table of exp(-Q/2) phi_n (``weighted_samples(sys,
+    "phi", -1)``).  The norm is evaluated in factored form: exp(-Q/2) is
+    applied term by term (it is linear), and the plain norm of exp(-Q/2) f -
+    sum_n alpha_n exp(-Q/2) phi_n is returned; the sum is one product with
+    ``phi_weighted``.
     """
     if sys.parity.verdict != "yes":
         raise StructureError("the indefinite expansion needs a first-type system")
@@ -203,5 +206,5 @@ def expansion_residual(
     signs = np.array(sign_sequence(sys, tol)[:m])
     # alpha_n = delta_n [f, phi_n]
     alphas = signs * ((f[:, ::-1] * sys.rule.dx_weights) @ np.conj(sys.phi_samples[:m].T))
-    u = f_weighted - alphas @ weighted_samples(sys, "phi", -1)[:m]
+    u = f_weighted - alphas @ phi_weighted[:m]
     return sys.rule.norm(u)

@@ -237,7 +237,8 @@ def gq_basis_defect(
     m = sys.n if upto is None else int(upto)
     if not 1 <= m <= sys.n:
         raise DomainError(f"upto must lie in [1, {sys.n}], got {m}")
-    for name, h in (("f", f), ("g", g)):
+    # one probe passed as both f and g is gated and sampled once
+    for name, h in (("f", f),) if g is f else (("f", f), ("g", g)):
         scores = decay_scores(sys.q, h, sys.rule)
         bad = min(scores.values())
         if bad < decay_threshold:
@@ -246,7 +247,7 @@ def gq_basis_defect(
             )
     w = sys.rule.dx_weights
     fs = to_samples(f, sys.rule).samples
-    gs = to_samples(g, sys.rule).samples
+    gs = fs if g is f else to_samples(g, sys.rule).samples
     fg = np.sum(w * fs * np.conj(gs))
     f_phi = np.conj(sys.phi_samples[:m] * w) @ fs      # <f, phi_n>
     psi_g = (sys.psi_samples[:m] * w) @ np.conj(gs)    # <psi_n, g>
@@ -257,22 +258,30 @@ def gq_basis_defect(
     return float(d1), float(d2)
 
 
-def g0_quadratic_check(sys: BiorthogonalSystem, c: Sequence[complex]) -> tuple[float, float]:
+def g0_quadratic_check(
+    sys: BiorthogonalSystem, c: Sequence[complex] | np.ndarray
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Quadratic form of the map phi_n -> psi_n against sum |c_n|^2.
 
     For f = sum c_n phi_n the pairing <sum c_n psi_n, f> must equal
-    sum |c_n|^2 (and in particular be strictly positive for c != 0); returns
-    (sum |c_n|^2, quadrature value).
+    sum |c_n|^2 (and in particular be strictly positive for c != 0).  The
+    pairing is conj(c G c^H) over the cached Gram G[n, m] = <phi_n, psi_m>.
+    ``c`` is one vector or a (k, m) batch of them; returns (sum |c_n|^2,
+    quadrature value) as two floats, or as two length-k arrays for a batch.
     """
     c = np.asarray(c, dtype=complex)
-    if c.ndim != 1 or c.size == 0 or c.size > sys.n:
+    if c.ndim not in (1, 2) or c.size == 0 or c.shape[-1] > sys.n:
         raise DomainError(f"need 1 <= len(c) <= {sys.n}, got shape {c.shape}")
-    u = c @ sys.psi_samples[: c.size]
-    v = c @ sys.phi_samples[: c.size]
-    z = np.sum(sys.rule.dx_weights * u * np.conj(v))
-    if abs(z.imag) > 1e-6 * max(1.0, abs(z)):
-        raise NumericError(f"quadratic form came out non-real: {z!r}")
-    return float(np.sum(np.abs(c) ** 2)), float(z.real)
+    rows = np.atleast_2d(c)
+    m = rows.shape[1]
+    z = np.conj(np.sum((rows @ sys.biorth_gram[:m, :m]) * np.conj(rows), axis=1))
+    skew = np.abs(z.imag) > 1e-6 * np.maximum(1.0, np.abs(z))
+    if np.any(skew):
+        raise NumericError(f"quadratic form came out non-real: {z[skew][0]!r}")
+    sums = np.sum(np.abs(rows) ** 2, axis=1)
+    if c.ndim == 1:
+        return float(sums[0]), float(z[0].real)
+    return sums, z.real
 
 
 # ---------------------------------------------------------------------------

@@ -209,13 +209,18 @@ def anticommutes_with_parity(
 
 def outer_mass_fraction(rows: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     """Per row of a sample table, the fraction of L2 mass on the outer 5% of
-    the nodes at each end (0 for a row without mass).  The two ends never
-    overlap, so each node counts once even on a rule of a few nodes."""
-    mass = rule.dx_weights * np.abs(rows) ** 2
+    the nodes at each end: 0 for a row without mass, 1 for a row whose mass
+    overflows (or is nan), so that such a row scores 0 at the decay gate.
+    The two ends never overlap, so each node counts once even on a rule of a
+    few nodes."""
     k = max(1, round(0.05 * len(rule)))
-    total = np.sum(mass, axis=1)
-    outer = np.sum(mass[:, :k], axis=1) + np.sum(mass[:, max(k, len(rule) - k):], axis=1)
-    return np.divide(outer, total, out=np.zeros_like(total), where=total > 0)
+    # an overflowing mass is an answer here (fraction 1), not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = rule.dx_weights * np.abs(rows) ** 2
+        total = np.sum(mass, axis=1)
+        outer = np.sum(mass[:, :k], axis=1) + np.sum(mass[:, max(k, len(rule) - k):], axis=1)
+    finite = np.isfinite(total)
+    return np.divide(outer, total, out=np.where(finite, 0.0, 1.0), where=finite & (total > 0))
 
 
 def decay_scores(

@@ -153,8 +153,9 @@ def test_criterion_08_c_symmetry_suite(shifted_sys, rng):
     v2 = np.sum((a @ g.weighted_gram(sys_, "phi", -1)) * np.conj(b), axis=1)
     v3 = g.krein_rows(r, a @ plus, b @ plus) - g.krein_rows(r, a @ minus, b @ minus)
     worst_tri = max(np.max(np.abs(v1 - v2)), np.max(np.abs(v1 - v3)))
-    f_weighted = coeffs @ weighted_samples(sys_, "phi", -1)
-    worst_exp = max(g.expansion_residual(sys_, coeffs @ sys_.phi_samples, f_weighted))
+    phi_weighted = weighted_samples(sys_, "phi", -1)
+    f_weighted = coeffs @ phi_weighted
+    worst_exp = max(g.expansion_residual(sys_, coeffs @ sys_.phi_samples, f_weighted, phi_weighted))
     ok = worst_c2 <= 1e-8 and positive and worst_tri <= 1e-8 and worst_exp <= 1e-8
     report(
         "criterion-08 C-symmetry suite",

@@ -171,6 +171,15 @@ class TestVerifyOthers:
         err = capsys.readouterr().err
         assert "basis member 0: exp(+0.5 Q) mass escapes the window (score 0.000 < 0.9)" in err
 
+    def test_overflowing_generator_fails_the_decay_gate(self, capsys):
+        # the moved members reach about 1e171, so their mass overflows; that
+        # must score 0 at the gate (a usage error naming member and sign),
+        # not read as zero outer mass, and raise no overflow warning
+        argv = ["verify", "perturbed-anharmonic", "--n", "8", "--p", "(scale 400 (tanh x))"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "basis member 0: exp(+0.5 Q) mass escapes the window (score 0.000 < 0.9)" in err
+
     def test_failing_tolerance_writes_report_and_exits_one(self, tmp_path):
         path = tmp_path / "strict.json"
         code = main([
@@ -376,6 +385,8 @@ class TestScalingGuard:
         # callers look these up through their own module globals
         for name, fn in (("weighted_inner", grslab.grs.weighted_inner),
                          ("weighted_gram", grslab.grs.weighted_gram),
+                         ("g0_quadratic_check", grslab.grs.g0_quadratic_check),
+                         ("decay_scores", grslab.metric_ops.decay_scores),
                          ("to_samples", grslab.krein.to_samples),
                          ("apply_exp_q", grslab.metric_ops.apply_exp_q),
                          ("unit_vector", grslab.krein.unit_vector),
@@ -401,6 +412,13 @@ class TestScalingGuard:
         assert counts["weighted_gram"] == 2
         # the families are sample tables, not per-member representations
         assert counts["apply_exp_q"] == 0 and counts["unit_vector"] == 0
+        # each g0 check evaluates its 50 random forms as one batch
+        assert counts["g0_quadratic_check"] == 2
+
+        # the gq probe, passed as both f and g, is gated once
+        counts.clear()
+        assert main(["verify", "shifted-ho", "--n", "32"]) == 0
+        assert counts["decay_scores"] == 1
 
         # one Krein Gram per system
         sys_ = make_example(ExampleSpec(id="shifted_ho", a=0.5, n=8))

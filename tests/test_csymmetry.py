@@ -300,17 +300,18 @@ class TestFundamentalSplit:
 class TestExpansion:
     def test_single_member_exact(self, shifted_sys):
         e = weighted_samples(shifted_sys, "phi", -1)
-        assert expansion_residual(shifted_sys, shifted_sys.phi_samples[3:4], e[3:4], 4)[0] <= 1e-9
+        assert expansion_residual(shifted_sys, shifted_sys.phi_samples[3:4], e[3:4], e, 4)[0] <= 1e-9
 
     def test_span_functions_exact(self, shifted_sys, rng):
         coeffs = span_functions(shifted_sys, 5, rng)
         e = weighted_samples(shifted_sys, "phi", -1)
-        assert np.max(expansion_residual(shifted_sys, coeffs @ shifted_sys.phi_samples, coeffs @ e)) <= 1e-8
+        assert np.max(expansion_residual(shifted_sys, coeffs @ shifted_sys.phi_samples, coeffs @ e, e)) <= 1e-8
 
     def test_gaussian_probe_converges(self, shifted_sys32):
         f, fw = sampled_pair(shifted_sys32, gaussian_test_function())
-        r8 = expansion_residual(shifted_sys32, f, fw, 8)
-        r32 = expansion_residual(shifted_sys32, f, fw, 32)
+        e = weighted_samples(shifted_sys32, "phi", -1)
+        r8 = expansion_residual(shifted_sys32, f, fw, e, 8)
+        r32 = expansion_residual(shifted_sys32, f, fw, e, 32)
         assert r32[0] < r8[0]
 
     @pytest.mark.parametrize("fixture", ["shifted_sys", "perturbed_sys"])
@@ -318,6 +319,7 @@ class TestExpansion:
         sys_ = request.getfixturevalue(fixture)
         r, w = sys_.rule, sys_.rule.dx_weights
         signs = np.array(sign_sequence(sys_))
+        e = weighted_samples(sys_, "phi", -1)
         for row in span_functions(sys_, 3, rng):
             f = span_rep(sys_, row)
             fs, fw = sampled_pair(sys_, f)
@@ -328,18 +330,18 @@ class TestExpansion:
                 for n in range(m):
                     u -= alphas[n] * to_samples(apply_exp_q(sys_.q, -0.5, phi[n], r), r).samples
                 want = math.sqrt(abs(np.sum(w * np.abs(u) ** 2)))
-                assert expansion_residual(sys_, fs, fw, m)[0] == pytest.approx(want, abs=1e-14)
+                assert expansion_residual(sys_, fs, fw, e, m)[0] == pytest.approx(want, abs=1e-14)
 
     def test_needs_first_type(self, example1_sys):
         f = example1_sys.phi_samples[:1]
         with pytest.raises(StructureError):
-            expansion_residual(example1_sys, f, f)
+            expansion_residual(example1_sys, f, f, weighted_samples(example1_sys, "phi", -1))
 
     def test_truncated_system_consistency(self, shifted_sys32):
         small = truncated(shifted_sys32, 8)
         f, fw = sampled_pair(shifted_sys32, gaussian_test_function())
-        a = expansion_residual(shifted_sys32, f, fw, 8)
-        b = expansion_residual(small, f, fw)
+        a = expansion_residual(shifted_sys32, f, fw, weighted_samples(shifted_sys32, "phi", -1), 8)
+        b = expansion_residual(small, f, fw, weighted_samples(small, "phi", -1))
         assert a[0] == pytest.approx(b[0], rel=1e-12)
 
 

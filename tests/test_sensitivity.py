@@ -2,8 +2,8 @@
 
 Each case injects a defect of size delta into a built system through
 ``dataclasses.replace`` on its rule or tables and asserts that the check's
-defect moves by at least delta / 10.  A check no injection can move carries
-no numerical evidence.
+defect moves by at least delta / 10, or that its verdict flips.  A check no
+injection can move carries no numerical evidence.
 """
 
 import dataclasses
@@ -12,10 +12,21 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grslab.suites import weighted_onb_defect
+from grslab import defaults as dflt
+from grslab.report import run_check
+from grslab.suites import SUITES, Run, weighted_onb_defect
+
+DELTAS = st.floats(1e-8, 1e-3) | st.floats(-1e-3, -1e-8)
 
 
-@given(delta=st.floats(1e-8, 1e-3) | st.floats(-1e-3, -1e-8))
+def run_row(example, check, sys_):
+    """One row of a catalog's suite table on a fresh run context, so every
+    call draws the same random vectors."""
+    name, tol_name, defect = next(row for row in SUITES[example] if row[0] == check)
+    return run_check(name, getattr(dflt, tol_name), lambda: defect(Run(sys_, {})))
+
+
+@given(delta=DELTAS)
 @settings(max_examples=20, deadline=None)
 def test_weighted_orthonormality_sees_one_rule_weight(shifted_sys, delta):
     # shifted_ho's weighted Grams are quadrature products over the rule, so
@@ -27,3 +38,25 @@ def test_weighted_orthonormality_sees_one_rule_weight(shifted_sys, delta):
     moved = dataclasses.replace(shifted_sys, rule=dataclasses.replace(rule, dx_weights=w))
     shift = abs(weighted_onb_defect(moved) - weighted_onb_defect(shifted_sys))
     assert shift >= abs(delta) / 10
+
+
+@given(delta=DELTAS, row=st.integers(0, 15))
+@settings(max_examples=20, deadline=None)
+def test_g0_agreement_sees_one_psi_row(shifted_sys, delta, row):
+    # scaling psi_row scales column `row` of the biorthogonality Gram, so
+    # each form moves by delta |c_row|^2; the largest of 50 draws of |c_row|^2
+    # is well above 1/10
+    psi = np.array(shifted_sys.psi_samples)
+    psi[row] *= 1.0 + delta
+    moved = dataclasses.replace(shifted_sys, psi_samples=psi)
+    before = run_row("shifted_ho", "g0_agreement", shifted_sys).value
+    shift = abs(run_row("shifted_ho", "g0_agreement", moved).value - before)
+    assert shift >= abs(delta) / 10
+
+
+def test_g0_positivity_fails_on_a_negated_psi_table(shifted_sys):
+    # every form <sum c_n psi_n, sum c_n phi_n> changes sign
+    flipped = dataclasses.replace(shifted_sys, psi_samples=-np.asarray(shifted_sys.psi_samples))
+    assert run_row("shifted_ho", "g0_positivity", shifted_sys).passed
+    got = run_row("shifted_ho", "g0_positivity", flipped)
+    assert got.value == 1.0 and not got.passed

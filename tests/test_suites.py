@@ -33,6 +33,13 @@ def _nan_gram_corner(k):
     return k
 
 
+def _nan_form(out):
+    """One batch of g0 forms with its second entry nan."""
+    forms = out[1].copy()
+    forms[1] = NAN
+    return out[0], forms
+
+
 # (check, catalog id, system fixture, function the fold calls, index of the
 # call whose result turns nan, how it turns nan); the index is never the
 # only term a Python max would keep
@@ -40,7 +47,8 @@ CASES = [
     ("eigen_residuals", "shifted_ho", "shifted_sys", "eigen_residual", 1, lambda out: NAN),
     ("eigen_residuals", "example1", "example1_sys", "eigen_residual", 1, lambda out: NAN),
     ("eigen_residuals", "perturbed_anharmonic", "perturbed_sys", "eigen_residual", 1, lambda out: NAN),
-    ("g0_agreement", "shifted_ho", "shifted_sys", "g0_quadratic_check", 1, lambda out: (out[0], NAN)),
+    # call 0 is g0_agreement's batch of 50 forms, call 1 g0_positivity's
+    ("g0_agreement", "shifted_ho", "shifted_sys", "g0_quadratic_check", 0, _nan_form),
     # the phi Gram is the system's cached one; this call forms the psi Gram
     ("weighted_orthonormality", "perturbed_anharmonic", "perturbed_sys", "weighted_gram", 0,
      lambda out: np.full_like(out, NAN)),
