@@ -63,7 +63,6 @@ from .grs import (
     truncated,
     weighted_gram,
     weighted_inner,
-    weighted_product,
 )
 from .hamiltonian import DifferentialHamiltonian, eigen_residual, fd_apply, fd_matrix
 from .krein import (

@@ -27,7 +27,7 @@ import numpy as np
 
 from .basis import BasisSet, QuadratureRule
 from .defaults import PARITY_CHECK_TOL, TOL_KREIN
-from .errors import DomainError, NotJOrthonormalError, StructureError
+from .errors import NotJOrthonormalError, StructureError
 from .grs import BiorthogonalSystem
 from .metric_ops import MetricOperatorQ, Multiplication, multiply_exp_q
 
@@ -185,7 +185,6 @@ def expansion_residual(
     f: np.ndarray,
     f_weighted: np.ndarray,
     phi_weighted: np.ndarray,
-    m: int | None = None,
     tol: float = TOL_KREIN,
 ) -> np.ndarray:
     """Residual of f = sum_n delta_n [f, phi_n] phi_n in the metric norm, per row.
@@ -200,11 +199,8 @@ def expansion_residual(
     """
     if sys.parity.verdict != "yes":
         raise StructureError("the indefinite expansion needs a first-type system")
-    m = sys.n if m is None else int(m)
-    if not 1 <= m <= sys.n:
-        raise DomainError(f"m must lie in [1, {sys.n}], got {m}")
-    signs = np.array(sign_sequence(sys, tol)[:m])
+    signs = np.array(sign_sequence(sys, tol))
     # alpha_n = delta_n [f, phi_n]
-    alphas = signs * ((f[:, ::-1] * sys.rule.dx_weights) @ np.conj(sys.phi_samples[:m].T))
-    u = f_weighted - alphas @ phi_weighted[:m]
+    alphas = signs * ((f[:, ::-1] * sys.rule.dx_weights) @ np.conj(sys.phi_samples.T))
+    u = f_weighted - alphas @ phi_weighted
     return sys.rule.norm(u)

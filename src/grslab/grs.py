@@ -9,11 +9,15 @@ A built system is two (N x P) sample tables on one working rule.  Every
 table of moved members exp(tQ) e_k comes from one dispatch over generator
 kinds, :func:`_moved_table`: one Hermite table at the complex-shifted
 argument for translation generators, pointwise exp(tq) multiplies of the
-member table for multiplication symbols.  The domain-decay gate, the Grams
-and the defects are matrix expressions over those tables (BLAS products),
-not loops over members or pairs.  Weighted inner products are always
-evaluated in the factored form <exp(sQ/2) f, exp(sQ/2) g>, which halves the
-dynamic range compared to applying exp(sQ) whole.
+member table for multiplication symbols.  The quasi-basis probe, a
+coefficient row over the Hermite functions, is moved by the same dispatch,
+and the build and the probe pass one domain-decay gate
+(:func:`grslab.metric_ops.decay_scores` on the moved tables).  The Grams and
+the defects are matrix expressions over those tables (BLAS products), not
+loops over members or pairs.  Weighted inner products are always evaluated
+in the factored form <exp(sQ/2) f, exp(sQ/2) g>, which halves the dynamic
+range compared to applying exp(sQ) whole; :func:`weighted_inner` is the
+per-function reference that tests compare the tables against.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .basis import BasisSet, QuadratureRule, _readonly, hermite_function_table
+from .basis import BasisSet, QuadratureRule, _readonly, hermite_basis, hermite_function_table
 from .defaults import DECAY_THRESHOLD, QUAD_ORDER_PAD
 from .errors import DomainError, MagnitudeError, NumericError, StructureError
 from .krein import FunctionRep, SampleRep, inner, to_samples
@@ -37,7 +41,6 @@ from .metric_ops import (
     apply_exp_q,
     decay_scores,
     multiply_exp_q,
-    outer_mass_fraction,
     working_rule,
 )
 
@@ -48,7 +51,6 @@ __all__ = [
     "gq_basis_defect",
     "g0_quadratic_check",
     "weighted_inner",
-    "weighted_product",
     "weighted_gram",
     "weighted_samples",
     "family_samples",
@@ -89,11 +91,6 @@ class BiorthogonalSystem:
     def phi_weighted_gram(self) -> NDArray:
         """W[n, m] = <exp(-Q/2) phi_n, exp(-Q/2) phi_m>; see :func:`weighted_gram`."""
         return _readonly(weighted_gram(self, "phi", -1))
-
-    @property
-    def biorth_defect(self) -> float:
-        """max_{n,m} |<phi_n, psi_m> - delta_nm|."""
-        return float(np.max(np.abs(self.biorth_gram - np.eye(self.n))))
 
     @cached_property
     def krein_gram(self) -> NDArray:
@@ -163,13 +160,39 @@ def _moved_table(
     return _member_table(basis, n, rule, 2j * q_op.a * (t0 + t))
 
 
+def _moved_or_none(*args) -> np.ndarray | None:
+    """:func:`_moved_table`, or None where the action overflows (the decay
+    gate scores such a sign 0)."""
+    try:
+        return _moved_table(*args)
+    except MagnitudeError:
+        return None
+
+
+def _decay_gate(
+    tables: Sequence[np.ndarray | None], rule: QuadratureRule, name: Callable[[int], str]
+) -> float:
+    """The domain-decay gate on one table per sign of exp(+-Q/2) (see
+    :func:`decay_scores`): the lowest score, or a DomainError naming the first
+    row below the threshold, exp(+Q/2) before exp(-Q/2)."""
+    scores = decay_scores(tables, rule)
+    bad = np.argwhere(scores < DECAY_THRESHOLD)
+    if bad.size:
+        k, j = bad[0]
+        raise DomainError(
+            f"{name(k)}: exp({tuple(_EXPONENTS.values())[j]:+g} Q) mass escapes the window "
+            f"(score {scores[k, j]:.3f} < {DECAY_THRESHOLD}); the generator does not "
+            "admit it at the working resolution"
+        )
+    return float(np.min(scores))
+
+
 def build_system(
     q_op: MetricOperatorQ,
     basis: BasisSet,
     n: int,
     rule: QuadratureRule | None = None,
     quad_order: int | None = None,
-    decay_threshold: float = DECAY_THRESHOLD,
 ) -> BiorthogonalSystem:
     """Materialize both families and record their quality numbers.
 
@@ -182,25 +205,9 @@ def build_system(
     if rule is None:
         rule = working_rule(basis, 2 * n + QUAD_ORDER_PAD if quad_order is None else quad_order)
 
-    halves = tuple(_EXPONENTS.values())
-    tables = {}
-    scores = np.zeros((n, len(halves)))
-    for j, t in enumerate(halves):
-        try:
-            tables[t] = _moved_table(q_op, basis, n, rule, t)
-        except MagnitudeError:
-            continue
-        scores[:, j] = 1.0 - outer_mass_fraction(tables[t], rule)
-    bad = np.argwhere(scores < decay_threshold)
-    if bad.size:
-        k, j = bad[0]
-        raise DomainError(
-            f"basis member {k}: exp({halves[j]:+g} Q) mass escapes the window "
-            f"(score {scores[k, j]:.3f} < {decay_threshold}); the generator does not "
-            "admit this basis at the working resolution"
-        )
-    phi, psi = (tables[t] if t in tables else _moved_table(q_op, basis, n, rule, t) for t in halves)
-
+    tables = [_moved_or_none(q_op, basis, n, rule, t) for t in _EXPONENTS.values()]
+    min_score = _decay_gate(tables, rule, "basis member {}".format)
+    phi, psi = tables
     return BiorthogonalSystem(
         basis=basis,
         q=q_op,
@@ -208,7 +215,7 @@ def build_system(
         rule=rule,
         phi_samples=phi,
         psi_samples=psi,
-        min_decay_score=float(np.min(scores)),
+        min_decay_score=min_score,
     )
 
 
@@ -218,41 +225,39 @@ def build_system(
 
 def biorthogonality_defect(sys: BiorthogonalSystem) -> float:
     """max_{n,m} |<phi_n, psi_m> - delta_nm| from the system's cached Gram."""
-    return sys.biorth_defect
+    return float(np.max(np.abs(sys.biorth_gram - np.eye(sys.n))))
 
 
-def gq_basis_defect(
-    sys: BiorthogonalSystem,
-    f: FunctionRep,
-    g: FunctionRep,
-    upto: int | None = None,
-    decay_threshold: float = DECAY_THRESHOLD,
-) -> tuple[float, float]:
+def gq_basis_defect(sys: BiorthogonalSystem, f: np.ndarray, g: np.ndarray) -> tuple[float, float]:
     """Defects of the two quasi-basis resolutions of <f, g>.
 
     Returns (|<f,g> - sum <f,phi_n><psi_n,g>|, |<f,g> - sum <f,psi_n><phi_n,g>|)
-    over the first ``upto`` members (all of them by default).  Both f and g
-    must clear the domain-decay gate for both signs.
+    over the system's members.  f and g are coefficient rows of one length
+    over the analytic Hermite functions; both must clear the domain-decay
+    gate for both signs.  They are sampled and moved by exp(+-Q/2) through
+    the dispatch that builds the families, from one member table.
     """
-    m = sys.n if upto is None else int(upto)
-    if not 1 <= m <= sys.n:
-        raise DomainError(f"upto must lie in [1, {sys.n}], got {m}")
-    # one probe passed as both f and g is gated and sampled once
-    for name, h in (("f", f),) if g is f else (("f", f), ("g", g)):
-        scores = decay_scores(sys.q, h, sys.rule)
-        bad = min(scores.values())
-        if bad < decay_threshold:
-            raise DomainError(
-                f"{name} fails the domain gate (score {bad:.3f} < {decay_threshold})"
-            )
+    f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
+    if f.ndim != 1 or f.size == 0 or g.shape != f.shape:
+        raise DomainError(
+            f"f and g must be coefficient rows of one length, got {f.shape} and {g.shape}")
+    rows, m = np.stack([f, g]), f.size
+    basis = hermite_basis(m)
+    member = _member_table(basis, m, sys.rule)
+    moved = []
+    for t in _EXPONENTS.values():
+        table = _moved_or_none(sys.q, basis, m, sys.rule, t, (0.0, member))
+        moved.append(None if table is None else rows @ table)
+        del table  # one (m x P) moved table alive at a time
+    _decay_gate(moved, sys.rule, ("probe f", "probe g").__getitem__)
+    fs, gs = rows @ member
+    del member  # the products below form two (N x P) temporaries
     w = sys.rule.dx_weights
-    fs = to_samples(f, sys.rule).samples
-    gs = fs if g is f else to_samples(g, sys.rule).samples
     fg = np.sum(w * fs * np.conj(gs))
-    f_phi = np.conj(sys.phi_samples[:m] * w) @ fs      # <f, phi_n>
-    psi_g = (sys.psi_samples[:m] * w) @ np.conj(gs)    # <psi_n, g>
-    f_psi = np.conj(sys.psi_samples[:m] * w) @ fs
-    phi_g = (sys.phi_samples[:m] * w) @ np.conj(gs)
+    f_phi = np.conj(sys.phi_samples * w) @ fs      # <f, phi_n>
+    psi_g = (sys.psi_samples * w) @ np.conj(gs)    # <psi_n, g>
+    f_psi = np.conj(sys.psi_samples * w) @ fs
+    phi_g = (sys.phi_samples * w) @ np.conj(gs)
     d1 = abs(fg - np.sum(f_phi * psi_g))
     d2 = abs(fg - np.sum(f_psi * phi_g))
     return float(d1), float(d2)
@@ -312,15 +317,6 @@ def weighted_inner(
         else:
             rule = working_rule(tf.basis)
     return inner(to_samples(tf, rule), to_samples(tg, rule))
-
-
-def weighted_product(
-    q_op: MetricOperatorQ,
-    sign: int,
-    rule: QuadratureRule | None = None,
-) -> Callable[[FunctionRep, FunctionRep], complex]:
-    """The weighted product as a callable, for :func:`grslab.krein.gram_matrix`."""
-    return lambda f, g: weighted_inner(q_op, sign, f, g, rule)
 
 
 def weighted_samples(sys: BiorthogonalSystem, which: str, sign: int) -> np.ndarray:

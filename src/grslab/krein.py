@@ -10,10 +10,11 @@ Products between coefficient form and sample form are deliberately not
 implicit: convert first with :func:`to_samples` so quadrature accuracy stays
 visible at the call site.
 
-These representations describe single functions, such as the quasi-basis
-probe and the pairwise reference products.  A built system holds its
-families as sample tables (:mod:`grslab.grs`), not as one representation per
-member.
+These representations describe single functions.  They are the reference
+path that the tests compare the table path against (pairwise products,
+:func:`gram_matrix`); no verify suite constructs one.  A built system holds
+its families as sample tables (:mod:`grslab.grs`), and the quasi-basis probe
+is a coefficient row moved by the same table dispatch.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "multiply_exp_q",
     "anticommutes_with_parity",
     "decay_scores",
-    "outer_mass_fraction",
 ]
 
 ALLOWED_EXPONENTS = (-1.0, -0.5, 0.5, 1.0)
@@ -207,40 +206,32 @@ def anticommutes_with_parity(
 # domain-decay heuristic
 # ---------------------------------------------------------------------------
 
-def outer_mass_fraction(rows: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-    """Per row of a sample table, the fraction of L2 mass on the outer 5% of
-    the nodes at each end: 0 for a row without mass, 1 for a row whose mass
-    overflows (or is nan), so that such a row scores 0 at the decay gate.
-    The two ends never overlap, so each node counts once even on a rule of a
-    few nodes."""
-    k = max(1, round(0.05 * len(rule)))
-    # an overflowing mass is an answer here (fraction 1), not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        mass = rule.dx_weights * np.abs(rows) ** 2
-        total = np.sum(mass, axis=1)
-        outer = np.sum(mass[:, :k], axis=1) + np.sum(mass[:, max(k, len(rule) - k):], axis=1)
-    finite = np.isfinite(total)
-    return np.divide(outer, total, out=np.where(finite, 0.0, 1.0), where=finite & (total > 0))
+def decay_scores(tables: Sequence[np.ndarray | None], rule: QuadratureRule) -> np.ndarray:
+    """Domain-decay scores of sample tables on ``rule``, one column per table.
 
-
-def decay_scores(
-    q_op: MetricOperatorQ,
-    f: FunctionRep,
-    rule: QuadratureRule | None = None,
-) -> dict[float, float]:
-    """Per-sign decay scores for exp(+-Q/2) f; 0.0 when the action overflows.
-
-    A score is 1 minus the outer-mass fraction of exp(tQ) f sampled on the
-    rule, a heuristic in [0, 1] for how safely f sits in the domain of
-    exp(tQ): values near 0 signal that it fails to decay inside the
-    truncated window.  No finite computation certifies domain membership.
+    ``tables`` holds one table per sign of exp(+-Q/2), one row per moved
+    function, or None for a sign whose action overflowed: every row scores 0
+    there (a single row stands for all when no sign has a table).  A score
+    is 1 minus the fraction of the row's L2 mass on the outer 5% of the nodes
+    at each end, a heuristic in [0, 1] for how safely the function sits in
+    the domain of exp(tQ); values near 0 signal that it fails to decay inside
+    the truncated window.  A row without mass scores 1, a row whose mass
+    overflows (or is nan) 0.  The two ends never overlap, so each node counts
+    once even on a rule of a few nodes.  No finite computation certifies
+    domain membership.
     """
-    out = {}
-    for t in (0.5, -0.5):
-        try:
-            g = apply_exp_q(q_op, t, f, rule)
-            r = _resolve_rule(g, rule)
-            out[t] = 1.0 - float(outer_mass_fraction(to_samples(g, r).samples[np.newaxis], r)[0])
-        except MagnitudeError:
-            out[t] = 0.0
-    return out
+    k = max(1, round(0.05 * len(rule)))
+    rows_count = max((len(t) for t in tables if t is not None), default=1)
+    scores = np.zeros((rows_count, len(tables)))
+    for j, rows in enumerate(tables):
+        if rows is None:
+            continue
+        # an overflowing mass is an answer here (score 0), not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            mass = rule.dx_weights * np.abs(rows) ** 2
+            total = np.sum(mass, axis=1)
+            outer = np.sum(mass[:, :k], axis=1) + np.sum(mass[:, max(k, len(rule) - k):], axis=1)
+        finite = np.isfinite(total)
+        fraction = np.divide(outer, total, out=np.where(finite, 0.0, 1.0), where=finite & (total > 0))
+        scores[:, j] = 1.0 - fraction
+    return scores

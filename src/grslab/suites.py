@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -22,7 +22,6 @@ import numpy as np
 from . import defaults as dflt
 from .basis import (
     gauss_hermite_rule,
-    hermite_basis,
     hermite_function_table,
     hermite_half_width,
     uniform_trapezoid_rule,
@@ -48,7 +47,6 @@ from .grs import (
     weighted_samples,
 )
 from .hamiltonian import eigen_residual, fd_matrix
-from .krein import CoefficientRep
 from .report import Check, run_check
 
 __all__ = [
@@ -65,20 +63,23 @@ __all__ = [
 # shared test-function constructions (also used by the acceptance suite)
 # ---------------------------------------------------------------------------
 
-def gaussian_test_function(size: int = dflt.GQ_TEST_BASIS) -> CoefficientRep:
-    """Normalized exp(-x^2) as a Hermite expansion of the given length.
+@cache
+def gaussian_test_function() -> np.ndarray:
+    """Normalized exp(-x^2) as a read-only row of GQ_TEST_BASIS coefficients
+    over the Hermite functions, computed once per process.
 
     The coefficients fall off geometrically, so the truncation sits at
-    machine noise long before the default length; normalizing the vector
-    makes the function exactly unit in the Hilbert norm.
+    machine noise long before that length; normalizing the vector makes the
+    function exactly unit in the Hilbert norm.
     """
-    basis = hermite_basis(size)
+    size = dflt.GQ_TEST_BASIS
     rule = gauss_hermite_rule(2 * size + dflt.QUAD_ORDER_PAD, 1.0)
     table = hermite_function_table(size - 1, rule.nodes)
     coeffs = (table * rule.dx_weights) @ np.exp(-rule.nodes**2)
     coeffs = coeffs.astype(complex)
     coeffs /= np.linalg.norm(coeffs)
-    return CoefficientRep(basis, coeffs)
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def span_functions(sys: BiorthogonalSystem, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -191,7 +192,8 @@ def _g0_batch(run: Run, count: int = 50) -> tuple[np.ndarray, np.ndarray]:
 def _expansion(run: Run) -> float:
     phi_weighted, coeffs = weighted_samples(run.sys, "phi", -1), run.span[:5]
     return np.max(expansion_residual(
-        run.sys, coeffs @ run.sys.phi_samples, coeffs @ phi_weighted, phi_weighted))
+        run.sys, coeffs @ run.sys.phi_samples, coeffs @ phi_weighted, phi_weighted,
+        run.settings["tol_krein"]))
 
 
 def _gq_resolution(run: Run) -> float:
@@ -218,7 +220,7 @@ def _first_type(partner_tol: str, eigen_tol: str, eigen: Callable[[Run], float])
         # max_n |[phi_n, phi_n] - (-1)^n|
         ("sign_pattern", "tol_krein",
          lambda r: np.max(np.abs(np.diag(krein_gram(r.sys)) - (-1.0) ** np.arange(r.sys.n)))),
-        ("partner", partner_tol, lambda r: partner_check(r.sys)),
+        ("partner", partner_tol, lambda r: partner_check(r.sys, r.settings["tol_krein"])),
         ("classification", "VERDICT_TOL", _classification_gap),
         ("c_squared", "TOL_C_SQUARED", lambda r: np.max(c_squared_residual(r.sys, r.span))),
         ("jc_positivity", "VERDICT_TOL",

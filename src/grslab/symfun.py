@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GrammarError
 
-__all__ = ["parse", "eval012", "eval_values", "to_string", "is_odd_on"]
+__all__ = ["parse", "eval012", "eval_values", "is_odd_on"]
 
 _FORMS = {"add", "scale", "pow", "atan", "tanh", "gauss"}
 
@@ -154,24 +154,6 @@ def eval012(node, x: np.ndarray):
 def eval_values(node, x: np.ndarray) -> np.ndarray:
     """Values only (cheaper to read at call sites than eval012(...)[0])."""
     return eval012(node, x)[0]
-
-
-def to_string(node) -> str:
-    """Canonical prefix form (round-trips through :func:`parse`)."""
-    head = node[0]
-    if head == "x":
-        return "x"
-    if head == "const":
-        return repr(node[1])
-    if head == "add":
-        return "(add " + " ".join(to_string(c) for c in node[1]) + ")"
-    if head == "scale":
-        return f"(scale {node[1]!r} {to_string(node[2])})"
-    if head == "pow":
-        return f"(pow {to_string(node[1])} {node[2]})"
-    if head == "gauss":
-        return f"(gauss {node[1]!r})"
-    return f"({head} {to_string(node[1])})"
 
 
 def is_odd_on(node, nodes: np.ndarray, tol: float) -> bool:

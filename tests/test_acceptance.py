@@ -129,7 +129,7 @@ def test_criterion_06_perturbed_anharmonic():
 
 def test_criterion_07_quasi_basis_resolution_trend(shifted_sys32):
     probe = gaussian_test_function()
-    defects = {m: g.gq_basis_defect(shifted_sys32, probe, probe, upto=m) for m in (8, 16, 32)}
+    defects = {m: g.gq_basis_defect(g.truncated(shifted_sys32, m), probe, probe) for m in (8, 16, 32)}
     d8, d16, d32 = defects[8], defects[16], defects[32]
     decreasing = all(d32[k] < d16[k] < d8[k] for k in (0, 1))
     ok = decreasing and max(d32) <= 1e-6

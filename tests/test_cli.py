@@ -138,6 +138,17 @@ class TestVerifyOthers:
         assert names["classification"]["pass"]
         assert names["negative_witness"]["pass"]
 
+    def test_tol_krein_reaches_partner_and_expansion(self, tmp_path):
+        # [phi_63, phi_63] is 1.3e-6 off -1 at a = 1.0: unimodular to 1e-3, so
+        # every check that rounds the sign sequence must read a value
+        path = tmp_path / "a1.json"
+        argv = ["verify", "shifted-ho", "--a", "1.0", "--n", "64", "--tol-krein", "1e-3"]
+        assert main(argv + ["--json", str(path)]) == 1
+        checks = {c["name"]: c for c in read_json(path)["checks"]}
+        for name in ("sign_pattern", "partner", "expansion"):
+            assert checks[name]["error"] is None and checks[name]["value"] is not None
+        assert checks["expansion"]["pass"] is False  # 8.8e-7 against TOL_EXPANSION 1e-8
+
     def test_example1_wrong_expectation_fails(self):
         assert main(["verify", "example1", "--n", "12", "--expect", "first_type"]) == 1
 
@@ -373,6 +384,7 @@ class TestScalingGuard:
         import grslab.krein
         import grslab.metric_ops
         from grslab import ExampleSpec, krein_gram, make_example
+        from grslab.suites import gaussian_test_function
 
         counts = collections.Counter()
 
@@ -388,6 +400,7 @@ class TestScalingGuard:
                          ("g0_quadratic_check", grslab.grs.g0_quadratic_check),
                          ("decay_scores", grslab.metric_ops.decay_scores),
                          ("to_samples", grslab.krein.to_samples),
+                         ("evaluate", grslab.krein.evaluate),
                          ("apply_exp_q", grslab.metric_ops.apply_exp_q),
                          ("unit_vector", grslab.krein.unit_vector),
                          ("hermite_function_table", grslab.basis.hermite_function_table)):
@@ -415,10 +428,16 @@ class TestScalingGuard:
         # each g0 check evaluates its 50 random forms as one batch
         assert counts["g0_quadratic_check"] == 2
 
-        # the gq probe, passed as both f and g, is gated once
-        counts.clear()
-        assert main(["verify", "shifted-ho", "--n", "32"]) == 0
-        assert counts["decay_scores"] == 1
+        # one decay gate for the build and one for the gq probe, both on
+        # sample tables: no verify constructs a FunctionRep; the probe's
+        # Hermite tables are its member table and, for translation, the two
+        # shifted ones (counted as in a fresh process, probe not yet cached)
+        for example, tables in (("shifted-ho", 10), ("perturbed-anharmonic", 3)):
+            counts.clear()
+            gaussian_test_function.cache_clear()
+            assert main(["verify", example, "--n", "32"]) == 0
+            assert counts["decay_scores"] == 2 and counts["hermite_function_table"] == tables
+            assert counts["apply_exp_q"] == counts["to_samples"] == counts["evaluate"] == 0
 
         # one Krein Gram per system
         sys_ = make_example(ExampleSpec(id="shifted_ho", a=0.5, n=8))

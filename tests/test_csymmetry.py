@@ -68,6 +68,12 @@ def span_rep(sys_, row):
     return SampleRep(sys_.rule, row @ sys_.phi_samples)
 
 
+def gaussian_rep():
+    """The quasi-basis probe as a coefficient representation."""
+    probe = gaussian_test_function()
+    return CoefficientRep(hermite_basis(probe.size), probe)
+
+
 def sampled_pair(sys_, f):
     """f and exp(-Q/2) f sampled on the working rule, as one-row tables."""
     r = sys_.rule
@@ -299,8 +305,9 @@ class TestFundamentalSplit:
 
 class TestExpansion:
     def test_single_member_exact(self, shifted_sys):
-        e = weighted_samples(shifted_sys, "phi", -1)
-        assert expansion_residual(shifted_sys, shifted_sys.phi_samples[3:4], e[3:4], e, 4)[0] <= 1e-9
+        cut = truncated(shifted_sys, 4)
+        e = weighted_samples(cut, "phi", -1)
+        assert expansion_residual(cut, cut.phi_samples[3:4], e[3:4], e)[0] <= 1e-9
 
     def test_span_functions_exact(self, shifted_sys, rng):
         coeffs = span_functions(shifted_sys, 5, rng)
@@ -308,10 +315,10 @@ class TestExpansion:
         assert np.max(expansion_residual(shifted_sys, coeffs @ shifted_sys.phi_samples, coeffs @ e, e)) <= 1e-8
 
     def test_gaussian_probe_converges(self, shifted_sys32):
-        f, fw = sampled_pair(shifted_sys32, gaussian_test_function())
+        f, fw = sampled_pair(shifted_sys32, gaussian_rep())
         e = weighted_samples(shifted_sys32, "phi", -1)
-        r8 = expansion_residual(shifted_sys32, f, fw, e, 8)
-        r32 = expansion_residual(shifted_sys32, f, fw, e, 32)
+        r8 = expansion_residual(truncated(shifted_sys32, 8), f, fw, e[:8])
+        r32 = expansion_residual(shifted_sys32, f, fw, e)
         assert r32[0] < r8[0]
 
     @pytest.mark.parametrize("fixture", ["shifted_sys", "perturbed_sys"])
@@ -330,7 +337,8 @@ class TestExpansion:
                 for n in range(m):
                     u -= alphas[n] * to_samples(apply_exp_q(sys_.q, -0.5, phi[n], r), r).samples
                 want = math.sqrt(abs(np.sum(w * np.abs(u) ** 2)))
-                assert expansion_residual(sys_, fs, fw, e, m)[0] == pytest.approx(want, abs=1e-14)
+                got = expansion_residual(truncated(sys_, m), fs, fw, e[:m])[0]
+                assert got == pytest.approx(want, abs=1e-14)
 
     def test_needs_first_type(self, example1_sys):
         f = example1_sys.phi_samples[:1]
@@ -338,9 +346,10 @@ class TestExpansion:
             expansion_residual(example1_sys, f, f, weighted_samples(example1_sys, "phi", -1))
 
     def test_truncated_system_consistency(self, shifted_sys32):
+        # the truncated system's exp(-Q/2) phi table is the full one's prefix
         small = truncated(shifted_sys32, 8)
-        f, fw = sampled_pair(shifted_sys32, gaussian_test_function())
-        a = expansion_residual(shifted_sys32, f, fw, weighted_samples(shifted_sys32, "phi", -1), 8)
+        f, fw = sampled_pair(shifted_sys32, gaussian_rep())
+        a = expansion_residual(small, f, fw, weighted_samples(shifted_sys32, "phi", -1)[:8])
         b = expansion_residual(small, f, fw, weighted_samples(small, "phi", -1))
         assert a[0] == pytest.approx(b[0], rel=1e-12)
 

@@ -25,13 +25,17 @@ from grslab import (
     unit_vector,
     weighted_gram,
     weighted_inner,
-    weighted_product,
 )
 from grslab.suites import gaussian_test_function
 
 from conftest import member_reps
 
 BASIS = hermite_basis(16)
+
+
+def weighted_product(q_op, sign, rule):
+    """The reference weighted product as a callable for gram_matrix."""
+    return lambda f, g: weighted_inner(q_op, sign, f, g, rule)
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +93,7 @@ class TestBuild:
 
     def test_build_records_quality(self, shifted_sys):
         assert shifted_sys.min_decay_score >= 0.9
-        assert shifted_sys.biorth_defect < 1e-8
+        assert biorthogonality_defect(shifted_sys) < 1e-8
 
 
 class TestBiorthogonality:
@@ -108,29 +112,42 @@ class TestBiorthogonality:
 
 class TestQuasiBasisResolution:
     def test_single_term_exact(self, zero_sys):
-        e0 = unit_vector(BASIS, 0)
+        e0 = np.ones(1)
         d1, d2 = gq_basis_defect(zero_sys, e0, e0)
         assert d1 <= 1e-13 and d2 <= 1e-13
 
     def test_orthogonal_pair_reproduced(self, shifted_sys):
-        f, g = unit_vector(BASIS, 1), unit_vector(BASIS, 2)
+        f, g = np.eye(3)[1], np.eye(3)[2]
         d1, d2 = gq_basis_defect(shifted_sys, f, g)
         assert max(d1, d2) <= 1e-8
 
     def test_gaussian_probe_converges(self, shifted_sys32):
         probe = gaussian_test_function()
-        defects = {m: gq_basis_defect(shifted_sys32, probe, probe, upto=m) for m in (8, 16, 32)}
+        defects = {m: gq_basis_defect(truncated(shifted_sys32, m), probe, probe) for m in (8, 16, 32)}
         for m in (8, 16, 32):
             assert defects[m][0] == pytest.approx(defects[m][1], abs=1e-12)
         assert defects[32][0] <= 1e-6
         assert defects[32][0] < defects[16][0] - 1e-12
         assert defects[16][0] < defects[8][0] - 1e-12
 
-    def test_domain_gate(self, shifted_sys):
-        # a pure sample function cannot be translated analytically
-        bad = to_samples(unit_vector(BASIS, 0), shifted_sys.rule)
-        with pytest.raises(Exception):
-            gq_basis_defect(shifted_sys, bad, bad)
+    def test_domain_gate(self, perturbed_sys):
+        # e_30 reaches the edge of the uniform window (half-width 8), so
+        # exp(+Q/2) e_30 keeps mass on its outer nodes
+        e30 = np.eye(31)[30]
+        with pytest.raises(DomainError, match=r"probe g: exp\(\+0.5 Q\) mass escapes the window"):
+            gq_basis_defect(perturbed_sys, np.eye(31)[0], e30)
+
+    def test_matches_the_function_rep_path(self, shifted_sys32, perturbed_sys):
+        # sampling the probe row through the member table agrees with the
+        # coefficient representation sampled on the working rule
+        probe = gaussian_test_function()
+        for sys_ in (shifted_sys32, perturbed_sys):
+            w = sys_.rule.dx_weights
+            fs = to_samples(CoefficientRep(hermite_basis(probe.size), probe), sys_.rule).samples
+            fg = np.sum(w * np.abs(fs) ** 2)
+            f_phi, psi_f = np.conj(sys_.phi_samples * w) @ fs, (sys_.psi_samples * w) @ np.conj(fs)
+            want = abs(fg - np.sum(f_phi * psi_f))
+            assert gq_basis_defect(sys_, probe, probe)[0] == pytest.approx(want, abs=1e-15)
 
 
 class TestG0QuadraticForm:
@@ -238,7 +255,7 @@ class TestRoundTrip:
         cut = truncated(shifted_sys, 5)
         assert cut.n == 5
         assert np.array_equal(cut.phi_samples, shifted_sys.phi_samples[:5])
-        assert cut.biorth_defect <= shifted_sys.biorth_defect + 1e-15
+        assert biorthogonality_defect(cut) <= biorthogonality_defect(shifted_sys) + 1e-15
 
     def test_family_on_other_rule(self, shifted_sys):
         fine = gauss_hermite_rule(100, 1.0)
@@ -261,10 +278,11 @@ class TestBounds:
         with pytest.raises(DomainError):
             truncated(shifted_sys, 17)
 
-    def test_gq_upto_bounds(self, shifted_sys):
-        f = unit_vector(BASIS, 0)
+    @pytest.mark.parametrize("f, g", [(np.ones(2), np.ones(3)), (np.ones((2, 2)), np.ones((2, 2))),
+                                      (np.ones(0), np.ones(0))], ids=["lengths", "matrix", "empty"])
+    def test_gq_rows_validation(self, shifted_sys, f, g):
         with pytest.raises(DomainError):
-            gq_basis_defect(shifted_sys, f, f, upto=0)
+            gq_basis_defect(shifted_sys, f, g)
 
     def test_family_samples_validates_name(self, shifted_sys):
         with pytest.raises(DomainError):

@@ -31,9 +31,10 @@ Q_TRANS = TranslationGenerator(0.5)
 Q_ZERO = Multiplication("(scale 0 x)")
 
 
-def domain_score(q_op, f, rule=None) -> float:
-    """The worse of the two decay scores, as the build gate reads them."""
-    return min(decay_scores(q_op, f, rule).values())
+def domain_score(q_op, f, rule) -> float:
+    """The worse of the two decay scores of f, moved by the reference path."""
+    tables = [to_samples(apply_exp_q(q_op, t, f, rule), rule).samples[np.newaxis] for t in (0.5, -0.5)]
+    return float(np.min(decay_scores(tables, rule)))
 
 
 class TestConstruction:
@@ -162,6 +163,17 @@ class TestDecayScore:
     def test_translation_high(self):
         f = unit_vector(BASIS, 2)
         assert domain_score(Q_TRANS, f, RULE) >= 0.99
+
+    def test_scores_one_column_per_table(self):
+        x = RULE.nodes
+        rows = np.vstack([np.exp(-x * x), np.zeros_like(x), np.full_like(x, np.inf), np.ones_like(x)])
+        got = decay_scores([rows, None], RULE)
+        # a decaying row keeps its mass inside, a row without mass scores 1,
+        # an overflowing row and an overflowed sign score 0
+        assert got.shape == (4, 2) and np.all(got[:, 1] == 0.0)
+        assert got[0, 0] > 0.99 and got[1, 0] == 1.0 and got[2, 0] == 0.0
+        assert 0.0 < got[3, 0] < 0.9
+        assert np.array_equal(decay_scores([None, None], RULE), np.zeros((1, 2)))
 
 
 class TestParityInteraction:

@@ -60,3 +60,17 @@ def test_g0_positivity_fails_on_a_negated_psi_table(shifted_sys):
     assert run_row("shifted_ho", "g0_positivity", shifted_sys).passed
     got = run_row("shifted_ho", "g0_positivity", flipped)
     assert got.value == 1.0 and not got.passed
+
+
+@given(delta=DELTAS, row=st.integers(0, 2))
+@settings(max_examples=20, deadline=None)
+def test_gq_resolution_sees_one_psi_row(shifted_sys32, delta, row):
+    # scaling psi_row scales the term <f, phi_row><psi_row, f> of the first
+    # resolution; the Gaussian probe weighs the low rows most (the defect
+    # moves by about 1.1, 0.25 and 0.17 delta for rows 0, 1, 2)
+    psi = np.array(shifted_sys32.psi_samples)
+    psi[row] *= 1.0 + delta
+    moved = dataclasses.replace(shifted_sys32, psi_samples=psi)
+    before = run_row("shifted_ho", "gq_resolution", shifted_sys32).value
+    shift = abs(run_row("shifted_ho", "gq_resolution", moved).value - before)
+    assert shift >= abs(delta) / 10

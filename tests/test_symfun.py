@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grslab import GrammarError
-from grslab.symfun import eval012, eval_values, is_odd_on, parse, to_string
+from grslab.symfun import eval012, eval_values, is_odd_on, parse
 
 X = np.linspace(-3.0, 3.0, 41)
 
@@ -40,13 +40,6 @@ def test_derivatives_against_finite_differences(source):
     fd1, fd2 = fd_derivatives(node, X)
     assert np.max(np.abs(d1 - fd1)) < 1e-7
     assert np.max(np.abs(d2 - fd2)) < 1e-4
-
-
-def test_roundtrip_through_to_string():
-    for source, _ in CASES:
-        node = parse(source)
-        again = parse(to_string(node))
-        assert np.allclose(eval_values(node, X), eval_values(again, X), atol=0)
 
 
 def test_oddness():
