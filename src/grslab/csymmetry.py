@@ -192,7 +192,7 @@ def expansion_residual(
     ``f`` holds functions sampled on the working rule, one per row,
     ``f_weighted`` the same functions moved by exp(-Q/2), and
     ``phi_weighted`` the table of exp(-Q/2) phi_n (``weighted_samples(sys,
-    "phi", -1)``).  The norm is evaluated in factored form: exp(-Q/2) is
+    "phi")``).  The norm is evaluated in factored form: exp(-Q/2) is
     applied term by term (it is linear), and the plain norm of exp(-Q/2) f -
     sum_n alpha_n exp(-Q/2) phi_n is returned; the sum is one product with
     ``phi_weighted``.

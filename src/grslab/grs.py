@@ -10,8 +10,8 @@ table of moved members exp(tQ) e_k comes from one dispatch over generator
 kinds, :func:`_moved_table`: one Hermite table at the complex-shifted
 argument for translation generators, pointwise exp(tq) multiplies of the
 member table for multiplication symbols.  The quasi-basis probe, a
-coefficient row over the Hermite functions, is moved by the same dispatch,
-and the build and the probe pass one domain-decay gate
+coefficient row over the Hermite functions, is moved as one sampled row by
+the same dispatch, and the build and the probe pass one domain-decay gate
 (:func:`grslab.metric_ops.decay_scores` on the moved tables).  The Grams and
 the defects are matrix expressions over those tables (BLAS products), not
 loops over members or pairs.  Weighted inner products are always evaluated
@@ -90,7 +90,7 @@ class BiorthogonalSystem:
     @cached_property
     def phi_weighted_gram(self) -> NDArray:
         """W[n, m] = <exp(-Q/2) phi_n, exp(-Q/2) phi_m>; see :func:`weighted_gram`."""
-        return _readonly(weighted_gram(self, "phi", -1))
+        return _readonly(weighted_gram(self, "phi"))
 
     @cached_property
     def krein_gram(self) -> NDArray:
@@ -138,16 +138,19 @@ def _moved_table(
     rule: QuadratureRule,
     t: float,
     family: tuple[float, np.ndarray] | None = None,
+    coeffs: np.ndarray | None = None,
 ) -> np.ndarray:
     """exp(tQ) applied to each of n members on ``rule``: a fresh complex
     C-ordered table, one row per member.
 
     The members are the basis members e_k, k < n, or, given ``family =
     (t0, table)``, the members exp(t0 Q) e_k already sampled on ``rule``.
+    Given a (k x n) ``coeffs`` as well, the moved functions are the k
+    combinations ``coeffs`` @ members, and ``table`` holds their samples.
     Translation evaluates one member table at the argument shift
-    2ia(t0 + t), which is exact and needs the analytic basis.
-    Multiplication multiplies the table pointwise by exp(tq), with the
-    overflow checks of :func:`multiply_exp_q`.
+    2ia(t0 + t), which is exact and needs the analytic basis, and contracts
+    it with ``coeffs``.  Multiplication multiplies the table pointwise by
+    exp(tq), with the overflow checks of :func:`multiply_exp_q`.
     """
     t0, table = (0.0, None) if family is None else family
     if isinstance(q_op, Multiplication):
@@ -157,7 +160,8 @@ def _moved_table(
         return np.ascontiguousarray(multiply_exp_q(q_op, t, table, rule), dtype=complex)
     if not basis.is_analytic:
         raise StructureError("translation generators act on the analytic Hermite basis")
-    return _member_table(basis, n, rule, 2j * q_op.a * (t0 + t))
+    table = _member_table(basis, n, rule, 2j * q_op.a * (t0 + t))
+    return table if coeffs is None else coeffs @ table
 
 
 def _moved_or_none(*args) -> np.ndarray | None:
@@ -228,65 +232,48 @@ def biorthogonality_defect(sys: BiorthogonalSystem) -> float:
     return float(np.max(np.abs(sys.biorth_gram - np.eye(sys.n))))
 
 
-def gq_basis_defect(sys: BiorthogonalSystem, f: np.ndarray, g: np.ndarray) -> tuple[float, float]:
-    """Defects of the two quasi-basis resolutions of <f, g>.
+def gq_basis_defect(sys: BiorthogonalSystem, f: np.ndarray) -> float:
+    """|<f,f> - sum <f,phi_n><psi_n,f>| over the system's members.
 
-    Returns (|<f,g> - sum <f,phi_n><psi_n,g>|, |<f,g> - sum <f,psi_n><phi_n,g>|)
-    over the system's members.  f and g are coefficient rows of one length
-    over the analytic Hermite functions; both must clear the domain-decay
-    gate for both signs.  They are sampled and moved by exp(+-Q/2) through
-    the dispatch that builds the families, from one member table.
+    The other ordering, sum <f,psi_n><phi_n,f>, is the complex conjugate of
+    this sum when both arguments are f, so it carries no further evidence.
+    f is a coefficient row over the analytic Hermite functions and must
+    clear the domain-decay gate for both signs: its sampled row is moved by
+    exp(+-Q/2) through the dispatch that builds the families.
     """
-    f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
-    if f.ndim != 1 or f.size == 0 or g.shape != f.shape:
-        raise DomainError(
-            f"f and g must be coefficient rows of one length, got {f.shape} and {g.shape}")
-    rows, m = np.stack([f, g]), f.size
-    basis = hermite_basis(m)
-    member = _member_table(basis, m, sys.rule)
-    moved = []
-    for t in _EXPONENTS.values():
-        table = _moved_or_none(sys.q, basis, m, sys.rule, t, (0.0, member))
-        moved.append(None if table is None else rows @ table)
-        del table  # one (m x P) moved table alive at a time
-    _decay_gate(moved, sys.rule, ("probe f", "probe g").__getitem__)
-    fs, gs = rows @ member
-    del member  # the products below form two (N x P) temporaries
-    w = sys.rule.dx_weights
-    fg = np.sum(w * fs * np.conj(gs))
+    f = np.asarray(f, dtype=complex)
+    if f.ndim != 1 or f.size == 0:
+        raise DomainError(f"f must be a nonempty coefficient row, got shape {f.shape}")
+    basis, rule = hermite_basis(f.size), sys.rule
+    fs = f @ _member_table(basis, f.size, rule)
+    moved = [_moved_or_none(sys.q, basis, f.size, rule, t, (0.0, fs[np.newaxis]), f[np.newaxis])
+             for t in _EXPONENTS.values()]
+    _decay_gate(moved, rule, lambda k: "probe")
+    w = rule.dx_weights
+    ff = np.sum(w * fs * np.conj(fs))
     f_phi = np.conj(sys.phi_samples * w) @ fs      # <f, phi_n>
-    psi_g = (sys.psi_samples * w) @ np.conj(gs)    # <psi_n, g>
-    f_psi = np.conj(sys.psi_samples * w) @ fs
-    phi_g = (sys.phi_samples * w) @ np.conj(gs)
-    d1 = abs(fg - np.sum(f_phi * psi_g))
-    d2 = abs(fg - np.sum(f_psi * phi_g))
-    return float(d1), float(d2)
+    psi_f = (sys.psi_samples * w) @ np.conj(fs)    # <psi_n, f>
+    return float(abs(ff - np.sum(f_phi * psi_f)))
 
 
-def g0_quadratic_check(
-    sys: BiorthogonalSystem, c: Sequence[complex] | np.ndarray
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+def g0_quadratic_check(sys: BiorthogonalSystem, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic form of the map phi_n -> psi_n against sum |c_n|^2.
 
     For f = sum c_n phi_n the pairing <sum c_n psi_n, f> must equal
     sum |c_n|^2 (and in particular be strictly positive for c != 0).  The
     pairing is conj(c G c^H) over the cached Gram G[n, m] = <phi_n, psi_m>.
-    ``c`` is one vector or a (k, m) batch of them; returns (sum |c_n|^2,
-    quadrature value) as two floats, or as two length-k arrays for a batch.
+    ``c`` is a (k, m) batch of vectors; returns (sum |c_n|^2, quadrature
+    value) as two length-k arrays.
     """
     c = np.asarray(c, dtype=complex)
-    if c.ndim not in (1, 2) or c.size == 0 or c.shape[-1] > sys.n:
-        raise DomainError(f"need 1 <= len(c) <= {sys.n}, got shape {c.shape}")
-    rows = np.atleast_2d(c)
-    m = rows.shape[1]
-    z = np.conj(np.sum((rows @ sys.biorth_gram[:m, :m]) * np.conj(rows), axis=1))
+    if c.ndim != 2 or c.size == 0 or c.shape[1] > sys.n:
+        raise DomainError(f"need a (k, m) batch with 1 <= m <= {sys.n}, got shape {c.shape}")
+    m = c.shape[1]
+    z = np.conj(np.sum((c @ sys.biorth_gram[:m, :m]) * np.conj(c), axis=1))
     skew = np.abs(z.imag) > 1e-6 * np.maximum(1.0, np.abs(z))
     if np.any(skew):
         raise NumericError(f"quadratic form came out non-real: {z[skew][0]!r}")
-    sums = np.sum(np.abs(rows) ** 2, axis=1)
-    if c.ndim == 1:
-        return float(sums[0]), float(z[0].real)
-    return sums, z.real
+    return np.sum(np.abs(c) ** 2, axis=1), z.real
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +306,18 @@ def weighted_inner(
     return inner(to_samples(tf, rule), to_samples(tg, rule))
 
 
-def weighted_samples(sys: BiorthogonalSystem, which: str, sign: int) -> np.ndarray:
-    """Rows exp(sign Q/2) f_n, f = phi or psi, sampled on the working rule
-    (a fresh table)."""
+def weighted_samples(sys: BiorthogonalSystem, which: str) -> np.ndarray:
+    """Rows exp(-tQ) f_n of the family f_n = exp(tQ) e_n, f = phi (t = 1/2)
+    or psi (t = -1/2), sampled on the working rule (a fresh table): each
+    family pulled back by the inverse of its build exponent."""
     t = _exponent(which)
-    if sign not in (-1, 1):
-        raise DomainError(f"sign must be -1 or +1, got {sign!r}")
-    family = (t, family_samples(sys, which))
-    return _moved_table(sys.q, sys.basis, sys.n, sys.rule, 0.5 * sign, family)
+    return _moved_table(sys.q, sys.basis, sys.n, sys.rule, -t, (t, family_samples(sys, which)))
 
 
-def weighted_gram(sys: BiorthogonalSystem, which: str, sign: int) -> np.ndarray:
-    """W[n, m] = <exp(sign Q/2) f_n, exp(sign Q/2) f_m> for f = phi or psi,
-    one quadrature product for both generator kinds."""
-    rows = weighted_samples(sys, which, sign)
+def weighted_gram(sys: BiorthogonalSystem, which: str) -> np.ndarray:
+    """W[n, m] = <exp(-tQ) f_n, exp(-tQ) f_m> for f = phi (t = 1/2) or psi
+    (t = -1/2), one quadrature product for both generator kinds."""
+    rows = weighted_samples(sys, which)
     weighted = rows * sys.rule.dx_weights
     return weighted @ np.conj(rows, out=rows).T  # rows are a fresh table
 

@@ -159,10 +159,6 @@ class ParityAnticommutation:
     evidence: float
 
 
-def _evidence_rule(rule: QuadratureRule | None) -> QuadratureRule:
-    return rule if rule is not None else gauss_hermite_rule(72, 1.0)
-
-
 def _grid_evidence(q_op: Multiplication, rule: QuadratureRule) -> float:
     """max_f || J e^{-Q} f - e^{Q} J f || / ||f|| over a small test family."""
     x = rule.nodes
@@ -175,15 +171,11 @@ def _grid_evidence(q_op: Multiplication, rule: QuadratureRule) -> float:
     return float(np.max(rule.norm(left - right) / rule.norm(tests)))
 
 
-def anticommutes_with_parity(
-    q_op: MetricOperatorQ,
-    rule: QuadratureRule | None = None,
-    tol: float = TOL_ODDNESS,
-) -> ParityAnticommutation:
+def anticommutes_with_parity(q_op: MetricOperatorQ, rule: QuadratureRule) -> ParityAnticommutation:
     """Decide JQ = -QJ for the parity J, with a numeric residual as evidence.
 
     Multiplication anticommutes exactly when its symbol is odd (checked to
-    ``tol`` on the rule nodes); translation generators anticommute
+    TOL_ODDNESS on the nodes of ``rule``); translation generators anticommute
     structurally (parity conjugates d/dx to -d/dx).  For multiplication the
     evidence is the worst relative residual of J exp(-Q) f = exp(Q) J f over
     a small test family, infinite when that computation overflows; for
@@ -193,10 +185,9 @@ def anticommutes_with_parity(
         # structural: parity flips the argument shift of the analytic
         # expansion exactly, so there is no residual to measure
         return ParityAnticommutation("yes", 0.0)
-    r = _evidence_rule(rule)
-    verdict = "yes" if symfun.is_odd_on(q_op.expr, r.nodes, tol) else "no"
+    verdict = "yes" if symfun.is_odd_on(q_op.expr, rule.nodes, TOL_ODDNESS) else "no"
     try:
-        evidence = _grid_evidence(q_op, r)
+        evidence = _grid_evidence(q_op, rule)
     except MagnitudeError:
         evidence = math.inf
     return ParityAnticommutation(verdict, evidence)

@@ -98,7 +98,7 @@ def span_functions(sys: BiorthogonalSystem, count: int, rng: np.random.Generator
 
 def weighted_onb_defect(sys: BiorthogonalSystem) -> float:
     """Worst deviation of the two weighted family Grams from the identity."""
-    grams = (sys.phi_weighted_gram, weighted_gram(sys, "psi", 1))
+    grams = (sys.phi_weighted_gram, weighted_gram(sys, "psi"))
     return float(np.max([np.max(np.abs(g - np.eye(sys.n))) for g in grams]))
 
 
@@ -190,15 +190,10 @@ def _g0_batch(run: Run, count: int = 50) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _expansion(run: Run) -> float:
-    phi_weighted, coeffs = weighted_samples(run.sys, "phi", -1), run.span[:5]
+    phi_weighted, coeffs = weighted_samples(run.sys, "phi"), run.span[:5]
     return np.max(expansion_residual(
         run.sys, coeffs @ run.sys.phi_samples, coeffs @ phi_weighted, phi_weighted,
         run.settings["tol_krein"]))
-
-
-def _gq_resolution(run: Run) -> float:
-    probe = gaussian_test_function()
-    return float(np.max(gq_basis_defect(run.sys, probe, probe)))
 
 
 def _classification_gap(run: Run) -> float:
@@ -227,7 +222,7 @@ def _first_type(partner_tol: str, eigen_tol: str, eigen: Callable[[Run], float])
          lambda r: 0.0 if np.all(jc_positivity_value(r.sys, r.span) > 0) else 1.0),
         ("c_metric_consistency", "TOL_SPLIT", lambda r: c_metric_consistency_defect(r.sys, r.span)),
         ("expansion", "TOL_EXPANSION", _expansion),
-        ("gq_resolution", "TOL_GQ", _gq_resolution),
+        ("gq_resolution", "TOL_GQ", lambda r: gq_basis_defect(r.sys, gaussian_test_function())),
         ("eigen_residuals", eigen_tol, eigen),
     )
 

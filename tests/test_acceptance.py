@@ -129,15 +129,14 @@ def test_criterion_06_perturbed_anharmonic():
 
 def test_criterion_07_quasi_basis_resolution_trend(shifted_sys32):
     probe = gaussian_test_function()
-    defects = {m: g.gq_basis_defect(g.truncated(shifted_sys32, m), probe, probe) for m in (8, 16, 32)}
+    defects = {m: g.gq_basis_defect(g.truncated(shifted_sys32, m), probe) for m in (8, 16, 32)}
     d8, d16, d32 = defects[8], defects[16], defects[32]
-    decreasing = all(d32[k] < d16[k] < d8[k] for k in (0, 1))
-    ok = decreasing and max(d32) <= 1e-6
+    ok = d32 < d16 < d8 and d32 <= 1e-6
     report(
         "criterion-07 quasi-basis resolution",
         ok,
-        f"defects {max(d8):.2e} -> {max(d16):.2e} -> {max(d32):.2e} "
-        "strictly decreasing, final <=1e-6 (both orderings)",
+        f"defects {d8:.2e} -> {d16:.2e} -> {d32:.2e} "
+        "strictly decreasing, final <=1e-6 (the other ordering is its conjugate)",
     )
 
 
@@ -150,10 +149,10 @@ def test_criterion_08_c_symmetry_suite(shifted_sys, rng):
     plus, minus = (sys_.phi_samples + c_phi) / 2, (sys_.phi_samples - c_phi) / 2
     a, b = coeffs[:3], coeffs[3:6]
     v1 = g.krein_rows(r, a @ c_phi, b @ sys_.phi_samples)
-    v2 = np.sum((a @ g.weighted_gram(sys_, "phi", -1)) * np.conj(b), axis=1)
+    v2 = np.sum((a @ g.weighted_gram(sys_, "phi")) * np.conj(b), axis=1)
     v3 = g.krein_rows(r, a @ plus, b @ plus) - g.krein_rows(r, a @ minus, b @ minus)
     worst_tri = max(np.max(np.abs(v1 - v2)), np.max(np.abs(v1 - v3)))
-    phi_weighted = weighted_samples(sys_, "phi", -1)
+    phi_weighted = weighted_samples(sys_, "phi")
     f_weighted = coeffs @ phi_weighted
     worst_exp = max(g.expansion_residual(sys_, coeffs @ sys_.phi_samples, f_weighted, phi_weighted))
     ok = worst_c2 <= 1e-8 and positive and worst_tri <= 1e-8 and worst_exp <= 1e-8
@@ -197,11 +196,10 @@ def test_criterion_10_quadratic_form_positivity(
     worst = 0.0
     all_positive = True
     for sys_ in (shifted_sys, example1_sys, perturbed_sys):
-        for _ in range(50):
-            c = rng.standard_normal(sys_.n) + 1j * rng.standard_normal(sys_.n)
-            sum_sq, quad = g.g0_quadratic_check(sys_, c)
-            worst = max(worst, abs(sum_sq - quad))
-            all_positive = all_positive and quad > 0.0
+        c = [rng.standard_normal(sys_.n) + 1j * rng.standard_normal(sys_.n) for _ in range(50)]
+        sum_sq, quad = g.g0_quadratic_check(sys_, np.array(c))
+        worst = max(worst, float(np.max(np.abs(sum_sq - quad))))
+        all_positive = all_positive and bool(np.all(quad > 0.0))
     ok = worst <= 1e-7 and all_positive
     report(
         "criterion-10 quadratic-form positivity",

@@ -259,7 +259,7 @@ class TestCMetric:
         c_phi, _ = shifted_c
         r = shifted_sys.rule
         fs, gs = span_functions(shifted_sys, 3, rng), span_functions(shifted_sys, 2, rng)
-        gram = weighted_gram(shifted_sys, "phi", -1)
+        gram = weighted_gram(shifted_sys, "phi")
         for a in fs:
             for b in gs:
                 lhs = krein_rows(r, a @ c_phi, b @ shifted_sys.phi_samples)
@@ -306,17 +306,17 @@ class TestFundamentalSplit:
 class TestExpansion:
     def test_single_member_exact(self, shifted_sys):
         cut = truncated(shifted_sys, 4)
-        e = weighted_samples(cut, "phi", -1)
+        e = weighted_samples(cut, "phi")
         assert expansion_residual(cut, cut.phi_samples[3:4], e[3:4], e)[0] <= 1e-9
 
     def test_span_functions_exact(self, shifted_sys, rng):
         coeffs = span_functions(shifted_sys, 5, rng)
-        e = weighted_samples(shifted_sys, "phi", -1)
+        e = weighted_samples(shifted_sys, "phi")
         assert np.max(expansion_residual(shifted_sys, coeffs @ shifted_sys.phi_samples, coeffs @ e, e)) <= 1e-8
 
     def test_gaussian_probe_converges(self, shifted_sys32):
         f, fw = sampled_pair(shifted_sys32, gaussian_rep())
-        e = weighted_samples(shifted_sys32, "phi", -1)
+        e = weighted_samples(shifted_sys32, "phi")
         r8 = expansion_residual(truncated(shifted_sys32, 8), f, fw, e[:8])
         r32 = expansion_residual(shifted_sys32, f, fw, e)
         assert r32[0] < r8[0]
@@ -326,7 +326,7 @@ class TestExpansion:
         sys_ = request.getfixturevalue(fixture)
         r, w = sys_.rule, sys_.rule.dx_weights
         signs = np.array(sign_sequence(sys_))
-        e = weighted_samples(sys_, "phi", -1)
+        e = weighted_samples(sys_, "phi")
         for row in span_functions(sys_, 3, rng):
             f = span_rep(sys_, row)
             fs, fw = sampled_pair(sys_, f)
@@ -343,14 +343,14 @@ class TestExpansion:
     def test_needs_first_type(self, example1_sys):
         f = example1_sys.phi_samples[:1]
         with pytest.raises(StructureError):
-            expansion_residual(example1_sys, f, f, weighted_samples(example1_sys, "phi", -1))
+            expansion_residual(example1_sys, f, f, weighted_samples(example1_sys, "phi"))
 
     def test_truncated_system_consistency(self, shifted_sys32):
         # the truncated system's exp(-Q/2) phi table is the full one's prefix
         small = truncated(shifted_sys32, 8)
         f, fw = sampled_pair(shifted_sys32, gaussian_rep())
-        a = expansion_residual(small, f, fw, weighted_samples(shifted_sys32, "phi", -1)[:8])
-        b = expansion_residual(small, f, fw, weighted_samples(small, "phi", -1))
+        a = expansion_residual(small, f, fw, weighted_samples(shifted_sys32, "phi")[:8])
+        b = expansion_residual(small, f, fw, weighted_samples(small, "phi"))
         assert a[0] == pytest.approx(b[0], rel=1e-12)
 
 

@@ -65,7 +65,7 @@ def test_g0_positivity_fails_on_a_negated_psi_table(shifted_sys):
 @given(delta=DELTAS, row=st.integers(0, 2))
 @settings(max_examples=20, deadline=None)
 def test_gq_resolution_sees_one_psi_row(shifted_sys32, delta, row):
-    # scaling psi_row scales the term <f, phi_row><psi_row, f> of the first
+    # scaling psi_row scales the term <f, phi_row><psi_row, f> of the
     # resolution; the Gaussian probe weighs the low rows most (the defect
     # moves by about 1.1, 0.25 and 0.17 delta for rows 0, 1, 2)
     psi = np.array(shifted_sys32.psi_samples)
