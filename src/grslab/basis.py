@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .defaults import GRID_MARGIN, HERMITE_MAX_DEGREE, IM_Z_BOUND, PARITY_CHECK_TOL
-from .errors import DomainError, MagnitudeError, NumericError, ResolutionError, StructureError
+from .defaults import GRID_MARGIN, HERMITE_MAX_DEGREE, IM_Z_BOUND
+from .errors import DomainError, MagnitudeError, NumericError, StructureError
 
 __all__ = [
     "QuadratureRule",
@@ -105,9 +105,11 @@ def gauss_hermite_rule(order: int, scale: float = 1.0) -> QuadratureRule:
         x = (x - x[::-1]) / 2.0  # exact antisymmetry
     # The first eigenvector component underflows for large orders, so the
     # weights come from the closed form w_i exp(x_i^2) = 1/(q e_{q-1}(x_i)^2)
-    # instead; the normalized Hermite value is O(1) at every node.
-    dxw = 1.0 / (order * _hermite_value(order - 1, x) ** 2)
-    w = dxw * np.exp(-x * x)
+    # instead; the normalized Hermite value is O(1) at every node.  Overflow
+    # past the double range is left to the check below.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dxw = 1.0 / (order * _hermite_value(order - 1, x) ** 2)
+        w = dxw * np.exp(-x * x)
     root = math.sqrt(scale)
     x = x / root
     w = w / root
@@ -241,10 +243,14 @@ def hermite_basis(size: int) -> BasisSet:
 def anharmonic_eigenbasis(beta: float, grid: QuadratureRule, k: int) -> BasisSet:
     """Lowest k eigenpairs of -d^2/dx^2 + |x|^beta on a uniform grid.
 
-    Second-order central differences with Dirichlet ends; eigenvectors are
-    L2-normalized, sign-fixed so that the first resolvable sample at or left
-    of the grid center is positive, and checked to alternate in parity
-    starting even.  For beta > 2 the potential is C^1, which is all the
+    Second-order central differences with Dirichlet ends.  The stencil
+    commutes with parity, so the even and the odd members are solved apart on
+    the half grid at and right of the center, with the mirror coupling folded
+    into the first row, and unfolded by mirroring with their sign: each member
+    is a parity eigenvector bit for bit, and strictly increasing energies
+    certify that the two blocks interleave.  Eigenvectors are L2-normalized
+    and sign-fixed so that the first resolvable sample at or left of the grid
+    center is positive.  For beta > 2 the potential is C^1, which is all the
     second-order stencil needs; |x|^beta is evaluated directly.
     """
     if not beta > 2:
@@ -258,37 +264,42 @@ def anharmonic_eigenbasis(beta: float, grid: QuadratureRule, k: int) -> BasisSet
         raise DomainError(f"need 1 <= k <= points/4, got k={k!r} at {points} points")
     x = grid.nodes
     h = x[1] - x[0]
-    diag = 2.0 / h**2 + np.abs(x) ** beta
-    off = np.full(points - 1, -1.0 / h**2)
+    half = points // 2  # samples strictly right of the center
+    coupling = -1.0 / h**2
+    # the half grid starts at the center node (odd count) or right of it (even)
+    diag = 2.0 / h**2 + np.abs(x[half:]) ** beta
+    off = np.full(diag.size - 1, coupling)
+    if points % 2:  # even members keep the center node; odd ones vanish there
+        blocks = ((diag, np.r_[math.sqrt(2.0) * coupling, off[1:]]), (diag[1:], off[1:]))
+    else:  # the center pair mirrors each other: fold +-coupling into the first node
+        fold = np.r_[coupling, np.zeros(half - 1)]
+        blocks = ((diag + fold, off), (diag - fold, off))
     # imported here so that only this basis, not every CLI call, loads scipy
     from scipy.linalg import LinAlgError, eigh_tridiagonal
 
-    try:
-        energies, vectors = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-    except LinAlgError as exc:
-        raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
+    energies = np.empty(k)
+    vectors = np.zeros((points, k))
+    for first, sign, (d, o) in zip((0, 1), (1.0, -1.0), blocks):
+        count = (k + 1 - first) // 2
+        if count == 0:
+            continue
+        try:
+            energies[first::2], u = eigh_tridiagonal(d, o, select="i", select_range=(0, count - 1))
+        except LinAlgError as exc:
+            raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
+        right = u[-half:] / math.sqrt(2.0)  # unit l2 over the mirrored pair
+        vectors[points - half:, first::2] = right
+        vectors[:half, first::2] = sign * right[::-1]
+        if len(u) > half:  # the center node, kept by even members of an odd grid
+            vectors[half, first::2] = u[0]
     if np.any(np.diff(energies) <= 0):
         raise NumericError("anharmonic energies are not strictly increasing")
-    vectors = vectors / math.sqrt(h)  # unit l2 -> unit L2
+    vectors /= math.sqrt(h)  # unit l2 -> unit L2
 
     center = (points - 1) // 2
-    for n in range(k):
-        v = vectors[:, n]
-        amax = np.max(np.abs(v))
-        j = center
-        while j >= 0 and abs(v[j]) <= 1e-8 * amax:
-            j -= 1
-        if j < 0:  # pragma: no cover - would need a zero vector
-            raise NumericError(f"eigenvector {n} vanished on the left half grid")
-        if v[j] < 0:
-            vectors[:, n] = -v
-        sign = (-1) ** n
-        parity_defect = np.max(np.abs(vectors[::-1, n] - sign * vectors[:, n])) / amax
-        if parity_defect > PARITY_CHECK_TOL:
-            raise ResolutionError(
-                f"eigenvector {n} parity defect {parity_defect:.2e} exceeds "
-                f"{PARITY_CHECK_TOL:.0e}; refine the grid"
-            )
+    left = np.abs(vectors[center::-1])
+    resolved = np.argmax(left > 1e-8 * np.max(left, axis=0), axis=0)
+    vectors *= np.where(vectors[center - resolved, np.arange(k)] < 0, -1.0, 1.0)
     signs = tuple((-1) ** n for n in range(k))
     return BasisSet(
         "anharmonic_numeric",

@@ -17,6 +17,7 @@ order and against which tolerance is :mod:`grslab.suites`.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -212,6 +213,7 @@ exit codes: 0 all checks pass, 1 some check fails, 2 usage error.
 """
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grslab",

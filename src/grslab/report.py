@@ -15,6 +15,8 @@ import json
 import platform
 import time
 from dataclasses import dataclass, field
+from importlib.util import find_spec
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -97,14 +99,17 @@ class VerificationReport:
 
 @functools.cache
 def _scipy_version() -> str | None:
-    """The installed scipy's version, read from its package metadata so that
-    reports do not import scipy; looked up once per process."""
-    from importlib import metadata
-
-    try:
-        return metadata.version("scipy")
-    except metadata.PackageNotFoundError:
+    """The installed scipy's version, read from the ``Version:`` line of the
+    dist-info beside the package so that reports import neither scipy nor
+    ``importlib.metadata`` (and its email parser); looked up once per process."""
+    spec = find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
         return None
+    site = Path(next(iter(spec.submodule_search_locations))).parent
+    for meta in sorted(site.glob("scipy-*.dist-info/METADATA")):
+        with open(meta, encoding="utf-8") as fh:
+            return next((line[8:].strip() for line in fh if line.startswith("Version:")), None)
+    return None
 
 
 def versions_block() -> dict:

@@ -1,4 +1,6 @@
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from grslab import (
     DomainError,
     MagnitudeError,
+    NumericError,
     StructureError,
     anharmonic_eigenbasis,
     gauss_hermite_rule,
@@ -142,6 +145,20 @@ class TestHermiteFunctions:
             hermite_function_table(513, 0.0)
 
 
+@functools.cache
+def full_grid_oracle(points: int, beta: float):
+    """The full-grid stencil and its lowest 33 eigenpairs (unit l2) from one
+    ``eigh_tridiagonal`` call on all the points."""
+    from scipy.linalg import eigh_tridiagonal
+
+    x = uniform_trapezoid_rule(8.0, points).nodes
+    h = x[1] - x[0]
+    diag = 2.0 / h**2 + np.abs(x) ** beta
+    off = np.full(points - 1, -1.0 / h**2)
+    energies, vectors = eigh_tridiagonal(diag, off, select="i", select_range=(0, 32))
+    return diag, off, energies, vectors
+
+
 @pytest.fixture(scope="module")
 def basis():
     grid = uniform_trapezoid_rule(8.0, 2000)
@@ -179,6 +196,26 @@ class TestAnharmonicEigenbasis:
         center = (1999 - 1) // 2
         assert b1.vectors[center, 0] > 0
 
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 33])
+    @pytest.mark.parametrize("beta", [3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("points", [500, 501, 1999, 2000])
+    def test_half_grid_solve_matches_full_grid_oracle(self, points, beta, k):
+        # the two parity half-grid problems against one full-grid solve
+        diag, off, want_e, want_v = full_grid_oracle(points, beta)
+        b = anharmonic_eigenbasis(beta, uniform_trapezoid_rule(8.0, points), k)
+        h = b.grid.nodes[1] - b.grid.nodes[0]
+        t_norm = np.max(np.abs(diag) + np.abs(np.r_[0.0, off]) + np.abs(np.r_[off, 0.0]))
+        assert np.max(np.abs(b.energies - want_e[:k])) <= np.finfo(float).eps * t_norm
+        v = b.vectors * math.sqrt(h)  # unit l2, as the oracle returns them
+        aligned = want_v[:, :k] * np.sign(np.sum(v * want_v[:, :k], axis=0))
+        assert np.max(np.abs(v - aligned)) <= 1e-12
+        signs = np.array(b.parity_signs)
+        assert np.array_equal(b.vectors[::-1], signs * b.vectors)
+        center = (points - 1) // 2
+        for n in range(k):  # first resolvable sample at or left of the center is positive
+            col = b.vectors[center::-1, n]
+            assert col[np.abs(col) > 1e-8 * np.max(np.abs(b.vectors[:, n]))][0] > 0
+
     def test_validation(self):
         grid = uniform_trapezoid_rule(8.0, 2000)
         with pytest.raises(DomainError):
@@ -203,7 +240,15 @@ class TestBasisSet:
 def test_high_order_weight_underflow_is_loud():
     # raw weights leave the double range near order 400; the rule refuses
     # rather than violating its positive-weight contract
-    from grslab import NumericError
-
     with pytest.raises(NumericError):
         gauss_hermite_rule(400, 1.0)
+
+
+@pytest.mark.parametrize("order", [766, 800, 1024])
+def test_weight_overflow_refuses_without_warning(order):
+    # from order 766 the closed-form quotient overflows; that must reach the
+    # range error, not a RuntimeWarning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="fell out of the double range"):
+            gauss_hermite_rule(order, 1.0)

@@ -243,6 +243,17 @@ class TestUsageErrors:
             main([])
         assert exc.value.code == 2
 
+    def test_usage_error_after_a_successful_call(self, tmp_path):
+        # one parser serves every main() call of a process
+        out = tmp_path / "r.json"
+        assert main(["verify", "shifted-ho", "--n", "4", "--json", str(out)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "shifted-ho", "--n", "four"])
+        assert exc.value.code == 2
+        out.unlink()
+        assert main(["verify", "shifted-ho", "--n", "4"]) == 0
+        assert not out.exists()  # the earlier call's --json does not linger
+
     def test_bad_beta_is_usage_error(self):
         assert main(["verify", "perturbed-anharmonic", "--beta", "1.0", "--n", "4"]) == 2
 
@@ -343,6 +354,29 @@ class TestReportModule:
             for j in range(2):
                 writer.writerow([i, j, repr(float(m[i, j].real)), repr(float(m[i, j].imag))])
         assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+    def test_scipy_version_read_from_dist_info(self, tmp_path, monkeypatch):
+        import types
+
+        from grslab import report
+
+        spec = types.SimpleNamespace(submodule_search_locations=[str(tmp_path / "scipy")])
+        meta = tmp_path / "scipy-9.8.7.dist-info" / "METADATA"
+        meta.parent.mkdir()
+        meta.write_text("Metadata-Version: 2.1\nName: scipy\nVersion: 9.8.7\n\nVersion: not this\n")
+
+        def version(found):
+            monkeypatch.setattr(report, "find_spec", lambda name: found)
+            report._scipy_version.cache_clear()
+            return report.versions_block()["scipy"]
+
+        try:
+            assert version(spec) == "9.8.7"
+            meta.unlink()
+            assert version(spec) is None  # a package without its dist-info
+            assert version(None) is None  # scipy not installed
+        finally:
+            report._scipy_version.cache_clear()
 
     def test_run_check_records_library_errors(self):
         from grslab.errors import DomainError

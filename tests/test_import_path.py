@@ -33,11 +33,15 @@ for argv in (["verify", "shifted-ho", "--n", "8"], ["verify", "example1", "--n",
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(grslab.cli.main(argv + ["--json", {str(tmp_path / "r.json")!r}]))
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({{"codes": codes, "scipy": loaded}}))
+# the report's scipy version is read without importlib.metadata and its email parser
+metadata = sorted(m for m in ("importlib.metadata", "email") if m in sys.modules)
+print(json.dumps({{"codes": codes, "scipy": loaded, "metadata": metadata}}))
 """
     proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0, 0], "scipy": []}
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "codes": [0, 0, 0], "scipy": [], "metadata": []
+    }
 
 
 def test_perturbed_anharmonic_imports_scipy_on_demand():
