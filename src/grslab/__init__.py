@@ -80,7 +80,6 @@ from .krein import (
 from .metric_ops import (
     MetricOperatorQ,
     Multiplication,
-    ParityAnticommutation,
     TranslationGenerator,
     anticommutes_with_parity,
     apply_exp_q,

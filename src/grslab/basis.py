@@ -200,7 +200,8 @@ class BasisSet:
 
     ``parity_signs[n] = (-1)^n`` records that each member is a parity
     eigenvector.  Numeric bases carry their grid, the sampled eigenvectors
-    (columns L2-normalized) and the eigenvalues.
+    (columns L2-normalized) and the eigenvalues; each column must mirror
+    about the grid center with its sign bit for bit, or the basis is refused.
     """
 
     kind: str
@@ -214,6 +215,8 @@ class BasisSet:
     def __post_init__(self) -> None:
         if self.vectors is not None:
             object.__setattr__(self, "vectors", _readonly(self.vectors))
+            if not np.array_equal(self.vectors[::-1], np.array(self.parity_signs) * self.vectors):
+                raise StructureError("basis vectors are not parity eigenvectors with their signs")
         if self.energies is not None:
             object.__setattr__(self, "energies", _readonly(self.energies))
 

@@ -10,8 +10,11 @@ Every quantity is a matrix expression over the system's phi table.  C acts
 on that whole table (:func:`c_tables`), never on one function at a time; a
 function in the span is a coefficient row ``a`` over the phi family, so f,
 Cf and C^2 f are ``a`` times the phi, C phi and C^2 phi tables and a batch
-of span functions is one product.  The Krein Gram and the parity verdict
-are cached on the system.
+of span functions is one product.  The Krein Gram is cached on the system,
+and so is its parity fact: whether the generator anticommutes with parity,
+decided from its kind or its symbol, never measured.  The basis members are
+parity eigenvectors by construction (a :class:`grslab.basis.BasisSet`
+refuses vectors that are not), so that fact alone decides the first type.
 
 A finite computation can certify membership in the first type (exhibit one
 anticommuting Q) but never in the second (which quantifies over all
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSet, QuadratureRule
-from .defaults import PARITY_CHECK_TOL, TOL_KREIN
+from .basis import QuadratureRule
+from .defaults import TOL_KREIN
 from .errors import NotJOrthonormalError, StructureError
 from .grs import BiorthogonalSystem
 from .metric_ops import MetricOperatorQ, Multiplication, multiply_exp_q
@@ -43,7 +46,6 @@ __all__ = [
     "c_squared_residual",
     "jc_positivity_value",
     "expansion_residual",
-    "parity_eigenvector_defect",
 ]
 
 
@@ -59,7 +61,6 @@ class TypeClassification:
     verdict: str
     q: MetricOperatorQ | None
     j_defect: float
-    anticommutation_evidence: float
 
 
 # ---------------------------------------------------------------------------
@@ -105,34 +106,22 @@ def partner_check(sys: BiorthogonalSystem, tol: float = TOL_KREIN) -> float:
     return float(np.max(sys.rule.norm(diff) / sys.rule.norm(sys.psi_samples)))
 
 
-def parity_eigenvector_defect(basis: BasisSet) -> float:
-    """How far the basis members are from parity eigenvectors.
-
-    Exactly zero for the analytic Hermite basis (structural); grid-reversal
-    residual for numeric bases.
-    """
-    if basis.is_analytic:
-        return 0.0
-    v, s = basis.vectors, np.asarray(basis.parity_signs)
-    return float(np.max(np.max(np.abs(v[::-1] - s * v), axis=0) / np.max(np.abs(v), axis=0)))
-
-
 def classify_type(sys: BiorthogonalSystem, tol: float = TOL_KREIN) -> TypeClassification:
     """Classify the phi family.
 
     Pipeline: (1) indefinite orthonormality to ``tol``; (2) the wired-in
-    generator anticommutes with parity and the basis members are parity
-    eigenvectors.  Both hold -> ``first_type`` with the generator as witness.
-    Failing (2) alone yields ``undetermined``: certifying the second type
-    would require ruling out every admissible generator.
+    generator anticommutes with parity (``sys.parity``).  The basis members
+    are parity eigenvectors by construction, so both holding -> ``first_type``
+    with the generator as witness.  Failing (2) alone yields ``undetermined``:
+    certifying the second type would require ruling out every admissible
+    generator.
     """
-    ac = sys.parity
     defect = j_orthonormality_defect(sys)
     if defect > tol:
-        return TypeClassification("not_j_orthonormal", None, defect, ac.evidence)
-    if ac.verdict == "yes" and parity_eigenvector_defect(sys.basis) <= PARITY_CHECK_TOL:
-        return TypeClassification("first_type", sys.q, defect, ac.evidence)
-    return TypeClassification("undetermined", None, defect, ac.evidence)
+        return TypeClassification("not_j_orthonormal", None, defect)
+    if sys.parity:
+        return TypeClassification("first_type", sys.q, defect)
+    return TypeClassification("undetermined", None, defect)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +136,9 @@ def c_tables(sys: BiorthogonalSystem) -> tuple[np.ndarray, np.ndarray]:
     Multiplication: (Cf)(x) = exp(q(x)) f(-x) on the reversed samples, and
     C^2 is that map applied twice, so C^2 = I stays numerical evidence.
     """
-    if sys.parity.verdict != "yes":
+    if not sys.parity:
         raise StructureError(
-            f"generator does not anticommute with parity (verdict {sys.parity.verdict!r}, "
-            f"evidence {sys.parity.evidence:.3g}); no C-symmetry operator exists for it"
+            "generator does not anticommute with parity; no C-symmetry operator exists for it"
         )
     if not sys.rule.is_symmetric:
         raise StructureError("parity on sample form needs a symmetric grid")
@@ -197,7 +185,7 @@ def expansion_residual(
     sum_n alpha_n exp(-Q/2) phi_n is returned; the sum is one product with
     ``phi_weighted``.
     """
-    if sys.parity.verdict != "yes":
+    if not sys.parity:
         raise StructureError("the indefinite expansion needs a first-type system")
     signs = np.array(sign_sequence(sys, tol))
     # alpha_n = delta_n [f, phi_n]

@@ -49,6 +49,5 @@ VERDICT_TOL = 0.5               # verdict-match checks encode pass as 0, fail as
 WITNESS_MARGIN = 0.18           # required | |[phi_0,phi_0]| - 1 | for the negative result
 DECAY_THRESHOLD = 0.9           # minimum domain-decay score at build and for the gq probe
 BOUNDARY_MASS = 1e-8            # relative boundary magnitude allowed in FD checks
-PARITY_CHECK_TOL = 1e-8         # numeric-eigenvector parity purity
 
 EXP_ARG_LIMIT = 700.0           # exp() argument beyond which doubles overflow

@@ -36,7 +36,6 @@ from .krein import FunctionRep, SampleRep, inner, to_samples
 from .metric_ops import (
     MetricOperatorQ,
     Multiplication,
-    ParityAnticommutation,
     anticommutes_with_parity,
     apply_exp_q,
     decay_scores,
@@ -101,7 +100,7 @@ class BiorthogonalSystem:
         return _readonly((self.phi_samples[:, ::-1] * w) @ np.conj(self.phi_samples.T))
 
     @cached_property
-    def parity(self) -> ParityAnticommutation:
+    def parity(self) -> bool:
         """Whether the generator anticommutes with parity, on the working rule."""
         return anticommutes_with_parity(self.q, self.rule)
 

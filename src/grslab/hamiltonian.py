@@ -25,7 +25,7 @@ __all__ = [
     "eigen_residual",
 ]
 
-FD_KINDS = ("shifted_ho", "example1", "example1_adjoint", "perturbed_anharmonic", "anharmonic")
+FD_KINDS = ("shifted_ho", "example1", "example1_adjoint", "perturbed_anharmonic")
 
 
 @dataclass(frozen=True)
@@ -47,13 +47,6 @@ class DifferentialHamiltonian:
             a = np.ascontiguousarray(getattr(self, name))
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-    @property
-    def is_hermitian(self) -> bool:
-        return bool(
-            np.allclose(self.upper, np.conj(self.lower), atol=1e-14)
-            and np.allclose(np.imag(self.diag), 0.0, atol=1e-14)
-        )
 
 
 def _grid_arrays(grid: QuadratureRule) -> tuple[np.ndarray, float]:
@@ -101,22 +94,15 @@ def fd_matrix(
         return DifferentialHamiltonian(kind, grid, lower, diag, upper)
 
     if beta is None or not beta > 2:
-        raise DomainError(f"anharmonic kinds need beta > 2, got {beta!r}")
-    potential = np.abs(x) ** beta
-    lower = np.full(m - 1, -1.0 / h**2)
-    upper = lower.copy()
-    diag = 2.0 / h**2 + potential
-    if kind == "anharmonic":
-        return DifferentialHamiltonian(kind, grid, lower, diag, upper)
-
+        raise DomainError(f"perturbed_anharmonic needs beta > 2, got {beta!r}")
     expr = symfun.parse(p) if isinstance(p, str) else p
     if expr is None:
         raise DomainError("perturbed_anharmonic needs the odd symbol p")
     _, p1, p2 = symfun.eval012(expr, x)
     drift = 2.0 * p1
-    lower = lower - drift[1:] / (2.0 * h)
-    upper = upper + drift[:-1] / (2.0 * h)
-    diag = diag + p2 - p1 * p1
+    lower = np.full(m - 1, -1.0 / h**2) - drift[1:] / (2.0 * h)
+    upper = np.full(m - 1, -1.0 / h**2) + drift[:-1] / (2.0 * h)
+    diag = 2.0 / h**2 + np.abs(x) ** beta + p2 - p1 * p1
     return DifferentialHamiltonian(kind, grid, lower, diag, upper)
 
 

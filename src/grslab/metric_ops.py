@@ -21,7 +21,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import symfun
-from .basis import BasisSet, QuadratureRule, gauss_hermite_rule, hermite_function_table
+from .basis import BasisSet, QuadratureRule, gauss_hermite_rule
 from .defaults import (
     EXP_ARG_LIMIT,
     QUAD_ORDER_PAD,
@@ -36,7 +36,6 @@ __all__ = [
     "Multiplication",
     "TranslationGenerator",
     "MetricOperatorQ",
-    "ParityAnticommutation",
     "ALLOWED_EXPONENTS",
     "apply_exp_q",
     "multiply_exp_q",
@@ -151,46 +150,17 @@ def multiply_exp_q(
 # anticommutation with parity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParityAnticommutation:
-    """Structural verdict plus the numeric residual backing it."""
+def anticommutes_with_parity(q_op: MetricOperatorQ, rule: QuadratureRule) -> bool:
+    """Whether JQ = -QJ for the parity J: a structural fact of the generator.
 
-    verdict: str  # "yes" | "no" | "undetermined"
-    evidence: float
-
-
-def _grid_evidence(q_op: Multiplication, rule: QuadratureRule) -> float:
-    """max_f || J e^{-Q} f - e^{Q} J f || / ||f|| over a small test family."""
-    x = rule.nodes
-    table = hermite_function_table(3, x)
-    tests = np.vstack([table[:3], (table[0] + table[3]) / math.sqrt(2.0)])
-    ql = _checked_exp(-q_op.values(x))
-    qr = _checked_exp(q_op.values(x))
-    left = (ql * tests)[:, ::-1]
-    right = qr * tests[:, ::-1]
-    return float(np.max(rule.norm(left - right) / rule.norm(tests)))
-
-
-def anticommutes_with_parity(q_op: MetricOperatorQ, rule: QuadratureRule) -> ParityAnticommutation:
-    """Decide JQ = -QJ for the parity J, with a numeric residual as evidence.
-
-    Multiplication anticommutes exactly when its symbol is odd (checked to
-    TOL_ODDNESS on the nodes of ``rule``); translation generators anticommute
-    structurally (parity conjugates d/dx to -d/dx).  For multiplication the
-    evidence is the worst relative residual of J exp(-Q) f = exp(Q) J f over
-    a small test family, infinite when that computation overflows; for
-    translation it is a structural 0.0.
+    Translation generators anticommute (parity conjugates d/dx to -d/dx, so
+    it flips the argument shift of the analytic expansion exactly);
+    multiplication anticommutes exactly when its symbol is odd, checked to
+    TOL_ODDNESS on the nodes of ``rule``.
     """
     if isinstance(q_op, TranslationGenerator):
-        # structural: parity flips the argument shift of the analytic
-        # expansion exactly, so there is no residual to measure
-        return ParityAnticommutation("yes", 0.0)
-    verdict = "yes" if symfun.is_odd_on(q_op.expr, rule.nodes, TOL_ODDNESS) else "no"
-    try:
-        evidence = _grid_evidence(q_op, rule)
-    except MagnitudeError:
-        evidence = math.inf
-    return ParityAnticommutation(verdict, evidence)
+        return True
+    return symfun.is_odd_on(q_op.expr, rule.nodes, TOL_ODDNESS)
 
 
 # ---------------------------------------------------------------------------

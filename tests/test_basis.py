@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import warnings
@@ -235,6 +236,16 @@ class TestBasisSet:
         other = uniform_trapezoid_rule(8.0, 999)
         with pytest.raises(StructureError):
             perturbed_sys.basis.table(other)
+
+    def test_numeric_members_must_be_parity_eigenvectors(self, perturbed_sys):
+        # the first-type verdict takes parity purity from construction, so a
+        # basis whose member breaks its mirror by one sample is refused
+        basis = perturbed_sys.basis
+        dataclasses.replace(basis, vectors=np.array(basis.vectors))  # an exact copy is accepted
+        v = np.array(basis.vectors)
+        v[np.argmax(np.abs(v[:, 2])), 2] *= 1.0 + 1e-12
+        with pytest.raises(StructureError, match="parity eigenvectors"):
+            dataclasses.replace(basis, vectors=v)
 
 
 def test_high_order_weight_underflow_is_loud():

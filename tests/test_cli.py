@@ -465,8 +465,9 @@ class TestScalingGuard:
         # one decay gate for the build and one for the gq probe, both on
         # sample tables: no verify constructs a FunctionRep; the probe's
         # Hermite tables are its member table and, for translation, the two
-        # shifted ones (counted as in a fresh process, probe not yet cached)
-        for example, tables in (("shifted-ho", 10), ("perturbed-anharmonic", 3)):
+        # shifted ones (counted as in a fresh process, probe not yet cached),
+        # and the parity verdict samples none
+        for example, tables in (("shifted-ho", 10), ("perturbed-anharmonic", 2)):
             counts.clear()
             gaussian_test_function.cache_clear()
             assert main(["verify", example, "--n", "32"]) == 0

@@ -18,31 +18,40 @@ GRID = uniform_trapezoid_rule(12.0, 4000)
 COARSE = uniform_trapezoid_rule(12.0, 2000)
 
 
+def anharmonic(beta: float = 4.0):
+    """The unperturbed stencil of -d^2/dx^2 + |x|^beta on GRID."""
+    return fd_matrix("perturbed_anharmonic", GRID, beta=beta, p="0")
+
+
 class TestFdAssembly:
     def test_zero_shift_is_hermitian(self):
         hd = fd_matrix("shifted_ho", GRID, a=0.0)
-        assert hd.is_hermitian
+        assert np.array_equal(hd.upper, np.conj(hd.lower))
+        assert np.all(hd.diag.imag == 0.0)
 
     def test_skew_part_is_shift_potential(self):
         hd = fd_matrix("shifted_ho", GRID, a=0.5)
-        assert not hd.is_hermitian
         assert np.allclose(hd.diag.imag, 2 * 0.5 * GRID.nodes)
         assert np.allclose(hd.lower.imag, 0.0) and np.allclose(hd.upper.imag, 0.0)
 
     def test_example1_not_hermitian(self):
-        assert not fd_matrix("example1", GRID).is_hermitian
+        # the drift -x/2 makes the off-diagonals differ by -(x_j + x_{j+1}) / (4h)
+        hd = fd_matrix("example1", GRID)
+        x, h = GRID.nodes, GRID.nodes[1] - GRID.nodes[0]
+        assert np.allclose(hd.upper - hd.lower, -(x[:-1] + x[1:]) / (4 * h), rtol=1e-9, atol=1e-9)
+        assert not np.allclose(hd.upper, np.conj(hd.lower))
 
     def test_anharmonic_symmetric(self):
-        hd = fd_matrix("anharmonic", GRID, beta=4.0)
-        assert hd.is_hermitian
+        hd = anharmonic()
         assert np.array_equal(hd.lower, hd.upper)
+        assert np.isrealobj(hd.diag) and np.array_equal(hd.diag, hd.diag[::-1])
 
     def test_zero_perturbation_matches_anharmonic(self):
-        plain = fd_matrix("anharmonic", GRID, beta=4.0)
-        trivial = fd_matrix("perturbed_anharmonic", GRID, beta=4.0, p="0")
-        assert np.array_equal(plain.diag, trivial.diag)
-        assert np.array_equal(plain.lower, trivial.lower)
-        assert np.array_equal(plain.upper, trivial.upper)
+        # p = 0 leaves the plain stencil: -1/h^2 off the diagonal, 2/h^2 + |x|^beta on it
+        hd = anharmonic()
+        h = GRID.nodes[1] - GRID.nodes[0]
+        assert np.array_equal(hd.lower, np.full(len(GRID) - 1, -1.0 / h**2))
+        assert np.array_equal(hd.diag, 2.0 / h**2 + np.abs(GRID.nodes) ** 4.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -52,7 +61,9 @@ class TestFdAssembly:
         with pytest.raises(ResolutionError):
             fd_matrix("example1", uniform_trapezoid_rule(12.0, 400))
         with pytest.raises(DomainError):
-            fd_matrix("anharmonic", GRID, beta=1.5)
+            anharmonic(beta=1.5)
+        with pytest.raises(DomainError):
+            fd_matrix("anharmonic", GRID, beta=4.0)
         with pytest.raises(GrammarError):
             fd_matrix("perturbed_anharmonic", GRID, beta=4.0, p="(sinh x)")
 
@@ -140,12 +151,12 @@ class TestEigenResiduals:
         assert gap / scale <= 1e-2
 
     def test_boundary_mass_guard(self):
-        hd = fd_matrix("anharmonic", GRID, beta=4.0)
+        hd = anharmonic()
         flat = np.ones(len(GRID))
         with pytest.raises(ResolutionError):
             eigen_residual(hd, flat, 1.0)
 
     def test_zero_function_rejected(self):
-        hd = fd_matrix("anharmonic", GRID, beta=4.0)
+        hd = anharmonic()
         with pytest.raises(DomainError):
             eigen_residual(hd, np.zeros(len(GRID)), 1.0)

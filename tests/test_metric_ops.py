@@ -128,24 +128,22 @@ class TestApplyExpQ:
 
 class TestAnticommutation:
     def test_odd_multiplication(self):
-        r = anticommutes_with_parity(Q_ODD, RULE)
-        assert r.verdict == "yes"
-        assert r.evidence < 1e-8
+        assert anticommutes_with_parity(Q_ODD, RULE) is True
 
     def test_even_multiplication(self):
-        r = anticommutes_with_parity(Q_EVEN, RULE)
-        assert r.verdict == "no"
-        assert r.evidence > 1e-2
+        assert anticommutes_with_parity(Q_EVEN, RULE) is False
 
     def test_translation(self):
-        r = anticommutes_with_parity(Q_TRANS, RULE)
-        assert r.verdict == "yes"
-        assert r.evidence < 1e-8
+        assert anticommutes_with_parity(Q_TRANS, RULE) is True
 
     def test_zero_symbol(self):
-        r = anticommutes_with_parity(Q_ZERO, RULE)
-        assert r.verdict == "yes"
-        assert r.evidence == 0.0
+        assert anticommutes_with_parity(Q_ZERO, RULE) is True
+
+    def test_overflowing_even_symbol(self):
+        # exp(q) leaves the double range on this rule; the verdict reads the
+        # symbol alone, so it is still a plain False
+        huge = Multiplication("(scale 500 (pow x 2))")
+        assert anticommutes_with_parity(huge, RULE) is False
 
 
 class TestDecayScore:
@@ -189,15 +187,6 @@ class TestParityInteraction:
         left = apply_parity(apply_exp_q(Q_ODD, -1.0, f))
         right = apply_exp_q(Q_ODD, 1.0, apply_parity(f))
         assert np.max(np.abs(left.samples - right.samples)) < 1e-12
-
-
-def test_evidence_overflow_reported_as_infinite():
-    import math
-
-    huge = Multiplication("(scale 500 (pow x 2))")
-    r = anticommutes_with_parity(huge, RULE)
-    assert r.verdict == "no"  # even symbol regardless of the blow-up
-    assert math.isinf(r.evidence)
 
 
 def test_accumulated_shift_hits_the_analytic_bound():
