@@ -32,8 +32,7 @@ from .catalog import (
     overlap_quadrature,
 )
 from .csymmetry import (
-    TypeClassification,
-    c_tables,
+    c_rows,
     classify_type,
     expansion_residual,
     j_orthonormality_defect,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .defaults import GRID_MARGIN, HERMITE_MAX_DEGREE, IM_Z_BOUND
+from .defaults import HERMITE_MAX_DEGREE, IM_Z_BOUND
 from .errors import DomainError, MagnitudeError, NumericError, StructureError
 
 __all__ = [
@@ -54,8 +54,6 @@ class QuadratureRule:
     nodes: NDArray
     weights: NDArray
     dx_weights: NDArray
-    scale: float | None = None
-    half_width: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", _readonly(self.nodes))
@@ -118,7 +116,7 @@ def gauss_hermite_rule(order: int, scale: float = 1.0) -> QuadratureRule:
         raise NumericError(
             f"weights fell out of the double range at order {order}; reduce the order"
         )
-    return QuadratureRule("gauss_hermite", x, w, dxw, scale=float(scale))
+    return QuadratureRule("gauss_hermite", x, w, dxw)
 
 
 def _hermite_value(n: int, x: np.ndarray) -> np.ndarray:
@@ -146,7 +144,7 @@ def uniform_trapezoid_rule(half_width: float, points: int) -> QuadratureRule:
     x = (np.arange(points) - (points - 1) / 2.0) * h
     w = np.full(points, h)
     w[0] = w[-1] = h / 2.0
-    return QuadratureRule("uniform_trapezoid", x, w, w.copy(), half_width=float(half_width))
+    return QuadratureRule("uniform_trapezoid", x, w, w.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +208,6 @@ class BasisSet:
     grid: QuadratureRule | None = None
     vectors: NDArray | None = None
     energies: NDArray | None = None
-    beta: float | None = None
 
     def __post_init__(self) -> None:
         if self.vectors is not None:
@@ -304,18 +301,4 @@ def anharmonic_eigenbasis(beta: float, grid: QuadratureRule, k: int) -> BasisSet
     resolved = np.argmax(left > 1e-8 * np.max(left, axis=0), axis=0)
     vectors *= np.where(vectors[center - resolved, np.arange(k)] < 0, -1.0, 1.0)
     signs = tuple((-1) ** n for n in range(k))
-    return BasisSet(
-        "anharmonic_numeric",
-        int(k),
-        signs,
-        grid=grid,
-        vectors=vectors,
-        energies=energies,
-        beta=float(beta),
-    )
-
-
-def hermite_half_width(n: int) -> float:
-    """Half-width heuristic for uniform grids carrying Hermite content to
-    index n: classical turning point sqrt(2n+1) plus Gaussian tail margin."""
-    return math.sqrt(2 * n + 1) + GRID_MARGIN
+    return BasisSet("anharmonic_numeric", int(k), signs, grid=grid, vectors=vectors, energies=energies)

@@ -4,17 +4,18 @@ Everything here lives on the Krein side of a biorthogonal system: the
 indefinite Gram and its defect, the sign sequence delta_n = [phi_n, phi_n],
 the partner identity psi_n = delta_n J phi_n, first-type classification, the
 operator C with its induced positive inner product [Cf, g], the fundamental
-split along (I +- C)/2, and the indefinite expansion of arbitrary vectors.
+split along (I +- C)/2, and the indefinite expansion of span functions.
 
-Every quantity is a matrix expression over the system's phi table.  C acts
-on that whole table (:func:`c_tables`), never on one function at a time; a
-function in the span is a coefficient row ``a`` over the phi family, so f,
-Cf and C^2 f are ``a`` times the phi, C phi and C^2 phi tables and a batch
-of span functions is one product.  The Krein Gram is cached on the system,
-and so is its parity fact: whether the generator anticommutes with parity,
-decided from its kind or its symbol, never measured.  The basis members are
-parity eigenvectors by construction (a :class:`grslab.basis.BasisSet`
-refuses vectors that are not), so that fact alone decides the first type.
+Every quantity is a matrix expression over the system's phi table and its
+cached Grams.  A function in the span is a coefficient row ``a`` over the
+phi family, and a batch of them is a (k x N) coefficient matrix.  C acts on
+the k span rows f = a @ phi (:func:`c_rows`), so the suites' ten span rows
+never need C on the N-row family; the expansion residual is a quadratic
+form in the cached Krein and phi weighted Grams.  The Krein Gram is cached on the system, and so is its
+parity fact: whether the generator anticommutes with parity, decided from
+its kind or its symbol, never measured.  The basis members are parity
+eigenvectors by construction (a :class:`grslab.basis.BasisSet` refuses
+vectors that are not), so that fact alone decides the first type.
 
 A finite computation can certify membership in the first type (exhibit one
 anticommuting Q) but never in the second (which quantifies over all
@@ -24,43 +25,26 @@ admissible generators), so the classifier only ever answers
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import QuadratureRule
 from .defaults import TOL_KREIN
 from .errors import NotJOrthonormalError, StructureError
 from .grs import BiorthogonalSystem
-from .metric_ops import MetricOperatorQ, Multiplication, multiply_exp_q
+from .metric_ops import Multiplication, multiply_exp_q
 
 __all__ = [
-    "TypeClassification",
     "krein_gram",
     "j_orthonormality_defect",
     "sign_sequence",
     "partner_check",
     "classify_type",
-    "c_tables",
+    "c_rows",
     "krein_rows",
     "c_squared_residual",
     "jc_positivity_value",
     "expansion_residual",
 ]
-
-
-@dataclass(frozen=True)
-class TypeClassification:
-    """Outcome of the first-type test.
-
-    ``first_type`` carries the witnessing generator; ``undetermined`` means
-    the family is indefinitely orthonormal but the wired-in generator is not
-    an anticommuting witness (second type cannot be certified numerically).
-    """
-
-    verdict: str
-    q: MetricOperatorQ | None
-    j_defect: float
 
 
 # ---------------------------------------------------------------------------
@@ -81,20 +65,18 @@ def j_orthonormality_defect(sys: BiorthogonalSystem) -> float:
 def sign_sequence(sys: BiorthogonalSystem, tol: float = TOL_KREIN) -> tuple[int, ...]:
     """delta_n = [phi_n, phi_n], rounded to +-1.
 
-    Raises :class:`NotJOrthonormalError` when any diagonal entry fails to be
-    unimodular to within ``tol``.
+    Raises :class:`NotJOrthonormalError` naming the first diagonal entry that
+    fails to be unimodular to within ``tol`` (a nan entry fails).
     """
-    k = krein_gram(sys)
-    diag = np.real(np.diag(k))
-    signs = []
-    for n, d in enumerate(diag):
-        s = int(round(d))
-        if s not in (-1, 1) or abs(d - s) > tol:
-            raise NotJOrthonormalError(
-                f"[phi_{n}, phi_{n}] = {d:.6f} is not unimodular to {tol:.0e}"
-            )
-        signs.append(s)
-    return tuple(signs)
+    diag = np.real(np.diag(krein_gram(sys)))
+    signs = np.round(diag)
+    bad = np.flatnonzero(~((np.abs(signs) == 1) & (np.abs(diag - signs) <= tol)))
+    if bad.size:
+        n = bad[0]
+        raise NotJOrthonormalError(
+            f"[phi_{n}, phi_{n}] = {diag[n]:.6f} is not unimodular to {tol:.0e}"
+        )
+    return tuple(signs.astype(int).tolist())
 
 
 def partner_check(sys: BiorthogonalSystem, tol: float = TOL_KREIN) -> float:
@@ -106,35 +88,34 @@ def partner_check(sys: BiorthogonalSystem, tol: float = TOL_KREIN) -> float:
     return float(np.max(sys.rule.norm(diff) / sys.rule.norm(sys.psi_samples)))
 
 
-def classify_type(sys: BiorthogonalSystem, tol: float = TOL_KREIN) -> TypeClassification:
-    """Classify the phi family.
+def classify_type(sys: BiorthogonalSystem, tol: float = TOL_KREIN) -> str:
+    """Classify the phi family: ``first_type``, ``not_j_orthonormal`` or
+    ``undetermined``.
 
-    Pipeline: (1) indefinite orthonormality to ``tol``; (2) the wired-in
-    generator anticommutes with parity (``sys.parity``).  The basis members
-    are parity eigenvectors by construction, so both holding -> ``first_type``
-    with the generator as witness.  Failing (2) alone yields ``undetermined``:
-    certifying the second type would require ruling out every admissible
-    generator.
+    Pipeline: (1) indefinite orthonormality to ``tol`` (a nan defect fails
+    it); (2) the wired-in generator anticommutes with parity
+    (``sys.parity``).  The basis members are parity eigenvectors by
+    construction, so both holding -> ``first_type`` with the generator as
+    witness.  Failing (2) alone yields ``undetermined``: certifying the
+    second type would require ruling out every admissible generator.
     """
-    defect = j_orthonormality_defect(sys)
-    if defect > tol:
-        return TypeClassification("not_j_orthonormal", None, defect)
-    if sys.parity:
-        return TypeClassification("first_type", sys.q, defect)
-    return TypeClassification("undetermined", None, defect)
+    if not j_orthonormality_defect(sys) <= tol:
+        return "not_j_orthonormal"
+    return "first_type" if sys.parity else "undetermined"
 
 
 # ---------------------------------------------------------------------------
 # the operator C and its metric
 # ---------------------------------------------------------------------------
 
-def c_tables(sys: BiorthogonalSystem) -> tuple[np.ndarray, np.ndarray]:
-    """C phi_n and C^2 phi_n on the working rule, one row per member.
+def c_rows(sys: BiorthogonalSystem, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The span rows f = coeffs @ phi with Cf and C^2 f on the working rule.
 
     Translation: parity flips the argument shift ia to -ia and exp(Q) moves
-    it back, so C phi_n = (-1)^n phi_n exactly and C^2 is the identity.
-    Multiplication: (Cf)(x) = exp(q(x)) f(-x) on the reversed samples, and
-    C^2 is that map applied twice, so C^2 = I stays numerical evidence.
+    it back, so C phi_n = (-1)^n phi_n exactly: C acts on the coefficients
+    and C^2 f is f.  Multiplication: (Cf)(x) = exp(q(x)) f(-x) on the
+    reversed samples, and C^2 f is that map applied twice, so C^2 = I stays
+    numerical evidence.
     """
     if not sys.parity:
         raise StructureError(
@@ -142,12 +123,12 @@ def c_tables(sys: BiorthogonalSystem) -> tuple[np.ndarray, np.ndarray]:
         )
     if not sys.rule.is_symmetric:
         raise StructureError("parity on sample form needs a symmetric grid")
+    f = coeffs @ sys.phi_samples
     if isinstance(sys.q, Multiplication):
-        c_phi = multiply_exp_q(sys.q, 1.0, sys.phi_samples[:, ::-1], sys.rule)
-        return c_phi, multiply_exp_q(sys.q, 1.0, c_phi[:, ::-1], sys.rule)
-    signs = np.array(sys.basis.parity_signs[: sys.n], dtype=float)[:, np.newaxis]
-    c_phi = signs * sys.phi_samples
-    return c_phi, signs * c_phi
+        cf = multiply_exp_q(sys.q, 1.0, f[:, ::-1], sys.rule)
+        return f, cf, multiply_exp_q(sys.q, 1.0, cf[:, ::-1], sys.rule)
+    signs = np.array(sys.basis.parity_signs[: sys.n], dtype=float)
+    return f, (coeffs * signs) @ sys.phi_samples, f
 
 
 def krein_rows(rule: QuadratureRule, f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -157,38 +138,26 @@ def krein_rows(rule: QuadratureRule, f: np.ndarray, g: np.ndarray) -> np.ndarray
 
 def c_squared_residual(sys: BiorthogonalSystem, coeffs: np.ndarray) -> np.ndarray:
     """||C(Cf) - f|| / ||f|| for each span row f = coeffs @ phi."""
-    cc_phi = c_tables(sys)[1]
-    rule = sys.rule
-    return rule.norm(coeffs @ (cc_phi - sys.phi_samples)) / rule.norm(coeffs @ sys.phi_samples)
+    f, _, ccf = c_rows(sys, coeffs)
+    return sys.rule.norm(ccf - f) / sys.rule.norm(f)
 
 
 def jc_positivity_value(sys: BiorthogonalSystem, coeffs: np.ndarray) -> np.ndarray:
     """<J(Cf), f> = Re [Cf, f] for each span row; must be strictly positive."""
-    c_phi = c_tables(sys)[0]
-    return krein_rows(sys.rule, coeffs @ c_phi, coeffs @ sys.phi_samples).real
+    f, cf, _ = c_rows(sys, coeffs)
+    return krein_rows(sys.rule, cf, f).real
 
 
-def expansion_residual(
-    sys: BiorthogonalSystem,
-    f: np.ndarray,
-    f_weighted: np.ndarray,
-    phi_weighted: np.ndarray,
-    tol: float = TOL_KREIN,
-) -> np.ndarray:
-    """Residual of f = sum_n delta_n [f, phi_n] phi_n in the metric norm, per row.
+def expansion_residual(sys: BiorthogonalSystem, coeffs: np.ndarray, tol: float = TOL_KREIN) -> np.ndarray:
+    """Residual of f = sum_n delta_n [f, phi_n] phi_n in the metric norm, for
+    each span row f = coeffs @ phi.
 
-    ``f`` holds functions sampled on the working rule, one per row,
-    ``f_weighted`` the same functions moved by exp(-Q/2), and
-    ``phi_weighted`` the table of exp(-Q/2) phi_n (``weighted_samples(sys,
-    "phi")``).  The norm is evaluated in factored form: exp(-Q/2) is
-    applied term by term (it is linear), and the plain norm of exp(-Q/2) f -
-    sum_n alpha_n exp(-Q/2) phi_n is returned; the sum is one product with
-    ``phi_weighted``.
+    With K the Krein Gram, [f, phi_n] = (coeffs K)_n, so the residual is
+    sum_n d_n phi_n with d = coeffs - delta * (coeffs K), and its metric norm
+    ||exp(-Q/2) sum_n d_n phi_n|| is sqrt(d W d^H) over the phi weighted
+    Gram W.
     """
     if not sys.parity:
         raise StructureError("the indefinite expansion needs a first-type system")
-    signs = np.array(sign_sequence(sys, tol))
-    # alpha_n = delta_n [f, phi_n]
-    alphas = signs * ((f[:, ::-1] * sys.rule.dx_weights) @ np.conj(sys.phi_samples.T))
-    u = f_weighted - alphas @ phi_weighted
-    return sys.rule.norm(u)
+    d = coeffs - np.array(sign_sequence(sys, tol)) * (coeffs @ krein_gram(sys))
+    return np.sqrt(np.abs(np.sum((d @ sys.phi_weighted_gram) * np.conj(d), axis=1)))

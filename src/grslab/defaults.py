@@ -20,8 +20,6 @@ RNG_SEED = 20250809             # seed for every randomized suite (determinism)
 GQ_TEST_BASIS = 64              # expansion length of the Gaussian test function
 GQ_MIN_N = 32                   # smallest truncation whose suite checks the quasi-basis resolution
 QUAD_ORDER_PAD = 40             # Gauss-Hermite order = 2N + pad
-GRID_MARGIN = 6.0               # uniform half-width = sqrt(2N+1) + margin
-POINTS_PER_UNIT = 16            # minimum uniform-grid density
 FD_HALF_WIDTH = 12.0            # default finite-difference half-width
 FD_POINTS = 4000                # default finite-difference point count
 FD_MIN_POINTS = 500

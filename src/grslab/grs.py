@@ -51,7 +51,6 @@ __all__ = [
     "g0_quadratic_check",
     "weighted_inner",
     "weighted_gram",
-    "weighted_samples",
     "family_samples",
     "truncated",
 ]
@@ -305,18 +304,12 @@ def weighted_inner(
     return inner(to_samples(tf, rule), to_samples(tg, rule))
 
 
-def weighted_samples(sys: BiorthogonalSystem, which: str) -> np.ndarray:
-    """Rows exp(-tQ) f_n of the family f_n = exp(tQ) e_n, f = phi (t = 1/2)
-    or psi (t = -1/2), sampled on the working rule (a fresh table): each
-    family pulled back by the inverse of its build exponent."""
-    t = _exponent(which)
-    return _moved_table(sys.q, sys.basis, sys.n, sys.rule, -t, (t, family_samples(sys, which)))
-
-
 def weighted_gram(sys: BiorthogonalSystem, which: str) -> np.ndarray:
     """W[n, m] = <exp(-tQ) f_n, exp(-tQ) f_m> for f = phi (t = 1/2) or psi
-    (t = -1/2), one quadrature product for both generator kinds."""
-    rows = weighted_samples(sys, which)
+    (t = -1/2), one quadrature product for both generator kinds: each family
+    is pulled back by the inverse of its build exponent."""
+    t = _exponent(which)
+    rows = _moved_table(sys.q, sys.basis, sys.n, sys.rule, -t, (t, family_samples(sys, which)))
     weighted = rows * sys.rule.dx_weights
     return weighted @ np.conj(rows, out=rows).T  # rows are a fresh table
 

@@ -20,15 +20,10 @@ from typing import Callable
 import numpy as np
 
 from . import defaults as dflt
-from .basis import (
-    gauss_hermite_rule,
-    hermite_function_table,
-    hermite_half_width,
-    uniform_trapezoid_rule,
-)
+from .basis import gauss_hermite_rule, hermite_function_table, uniform_trapezoid_rule
 from .csymmetry import (
+    c_rows,
     c_squared_residual,
-    c_tables,
     classify_type,
     expansion_residual,
     j_orthonormality_defect,
@@ -44,7 +39,6 @@ from .grs import (
     g0_quadratic_check,
     gq_basis_defect,
     weighted_gram,
-    weighted_samples,
 )
 from .hamiltonian import eigen_residual, fd_matrix
 from .report import Check, run_check
@@ -107,11 +101,11 @@ def c_metric_consistency_defect(sys: BiorthogonalSystem, coeffs: np.ndarray) -> 
     and the fundamental-split form, plus the split sign conditions, over the
     span-row pairs (f, g) = (row i, row i + 1), i < 3."""
     i = np.arange(min(3, len(coeffs)))
-    a, b = coeffs[i], coeffs[(i + 1) % len(coeffs)]
-    # <exp(-Q/2) f, exp(-Q/2) g> = a W b^H
-    v2 = np.sum((a @ sys.phi_weighted_gram) * np.conj(b), axis=1)
-    c_phi = c_tables(sys)[0]
-    f, g, cf, cg = a @ sys.phi_samples, b @ sys.phi_samples, a @ c_phi, b @ c_phi
+    j = (i + 1) % len(coeffs)
+    # <exp(-Q/2) f, exp(-Q/2) g> = a W b^H for the coefficient rows a, b of f, g
+    v2 = np.sum((coeffs[i] @ sys.phi_weighted_gram) * np.conj(coeffs[j]), axis=1)
+    rows, c_of_rows, _ = c_rows(sys, coeffs)
+    f, g, cf, cg = rows[i], rows[j], c_of_rows[i], c_of_rows[j]
     v1 = krein_rows(sys.rule, cf, g)
     # f = f_+ + f_- along the projectors (I +- C)/2
     fp, fm, gp, gm = (f + cf) / 2, (f - cf) / 2, (g + cg) / 2, (g - cg) / 2
@@ -122,12 +116,14 @@ def c_metric_consistency_defect(sys: BiorthogonalSystem, coeffs: np.ndarray) -> 
     return float(np.max([np.abs(v1 - v2), np.abs(v1 - v3), cross, pos, neg]))
 
 
-def _fd_grid(n_top: int):
-    """Default residual grid: half-width 12 covers indices up to ~5; the
-    turning-point rule takes over beyond that."""
-    half = max(dflt.FD_HALF_WIDTH, hermite_half_width(n_top))
-    points = max(dflt.FD_POINTS, int(2 * half * dflt.POINTS_PER_UNIT))
-    return uniform_trapezoid_rule(half, points)
+def _fd_grid():
+    """Finite-difference grid of the analytic ladders: half-width 12 covers
+    Hermite content to index ~5."""
+    return uniform_trapezoid_rule(dflt.FD_HALF_WIDTH, dflt.FD_POINTS)
+
+
+#: the eigen-residuals read members 0 .. _LADDER - 1
+_LADDER = 4
 
 
 def _worst_eigen_residual(terms) -> float:
@@ -135,26 +131,26 @@ def _worst_eigen_residual(terms) -> float:
     return float(np.max([eigen_residual(hd, f, lam) for hd, f, lam in terms]))
 
 
-def shifted_ho_eigen_defect(sys: BiorthogonalSystem, a: float, n_top: int = 3) -> float:
-    grid = _fd_grid(n_top)
+def shifted_ho_eigen_defect(sys: BiorthogonalSystem, a: float) -> float:
+    grid = _fd_grid()
     hd = fd_matrix("shifted_ho", grid, a=a)
-    phi = family_samples(sys, "phi", grid, upto=min(n_top + 1, sys.n))
+    phi = family_samples(sys, "phi", grid, upto=min(_LADDER, sys.n))
     return _worst_eigen_residual((hd, row, 2 * n + 1 + a * a) for n, row in enumerate(phi))
 
 
-def example1_eigen_defect(sys: BiorthogonalSystem, n_top: int = 3) -> float:
-    grid = _fd_grid(n_top)
-    m = min(n_top + 1, sys.n)
+def example1_eigen_defect(sys: BiorthogonalSystem) -> float:
+    grid = _fd_grid()
+    m = min(_LADDER, sys.n)
     # the phi ladder under the operator, the psi ladder under its adjoint
     pairs = [(fd_matrix(kind, grid), family_samples(sys, which, grid, upto=m))
              for kind, which in (("example1", "phi"), ("example1_adjoint", "psi"))]
     return _worst_eigen_residual((hd, table[n], n + 0.5) for n in range(m) for hd, table in pairs)
 
 
-def perturbed_eigen_defect(sys: BiorthogonalSystem, beta: float, p_source: str, n_top: int = 3) -> float:
+def perturbed_eigen_defect(sys: BiorthogonalSystem, beta: float, p_source: str) -> float:
     hd = fd_matrix("perturbed_anharmonic", sys.rule, beta=beta, p=p_source)
     return _worst_eigen_residual(
-        (hd, np.asarray(sys.phi_samples[n]), sys.basis.energies[n]) for n in range(min(n_top + 1, sys.n))
+        (hd, np.asarray(sys.phi_samples[n]), sys.basis.energies[n]) for n in range(min(_LADDER, sys.n))
     )
 
 
@@ -189,15 +185,8 @@ def _g0_batch(run: Run, count: int = 50) -> tuple[np.ndarray, np.ndarray]:
     return g0_quadratic_check(run.sys, x[:, 0] + 1j * x[:, 1])
 
 
-def _expansion(run: Run) -> float:
-    phi_weighted, coeffs = weighted_samples(run.sys, "phi"), run.span[:5]
-    return np.max(expansion_residual(
-        run.sys, coeffs @ run.sys.phi_samples, coeffs @ phi_weighted, phi_weighted,
-        run.settings["tol_krein"]))
-
-
 def _classification_gap(run: Run) -> float:
-    got = classify_type(run.sys, run.settings["tol_krein"]).verdict
+    got = classify_type(run.sys, run.settings["tol_krein"])
     return 0.0 if got == run.settings["expect"] else 1.0
 
 
@@ -221,7 +210,8 @@ def _first_type(partner_tol: str, eigen_tol: str, eigen: Callable[[Run], float])
         ("jc_positivity", "VERDICT_TOL",
          lambda r: 0.0 if np.all(jc_positivity_value(r.sys, r.span) > 0) else 1.0),
         ("c_metric_consistency", "TOL_SPLIT", lambda r: c_metric_consistency_defect(r.sys, r.span)),
-        ("expansion", "TOL_EXPANSION", _expansion),
+        ("expansion", "TOL_EXPANSION",
+         lambda r: np.max(expansion_residual(r.sys, r.span[:5], r.settings["tol_krein"]))),
         ("gq_resolution", "TOL_GQ", lambda r: gq_basis_defect(r.sys, gaussian_test_function())),
         ("eigen_residuals", eigen_tol, eigen),
     )

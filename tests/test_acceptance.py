@@ -12,7 +12,6 @@ import numpy as np
 
 import grslab as g
 from grslab.csymmetry import c_squared_residual, jc_positivity_value
-from grslab.grs import weighted_samples
 from grslab.suites import (
     example1_eigen_defect,
     gaussian_test_function,
@@ -76,7 +75,7 @@ def test_criterion_03_shifted_biorthogonality_three_shifts():
 
 def test_criterion_04_shifted_indefinite_orthonormality(shifted_sys):
     defect = g.j_orthonormality_defect(shifted_sys)
-    verdict = g.classify_type(shifted_sys).verdict
+    verdict = g.classify_type(shifted_sys)
     signs = g.sign_sequence(shifted_sys)
     partner = g.partner_check(shifted_sys)
     ok = (
@@ -94,7 +93,7 @@ def test_criterion_04_shifted_indefinite_orthonormality(shifted_sys):
 
 
 def test_criterion_05_example1_negative_result(example1_sys):
-    verdict = g.classify_type(example1_sys).verdict
+    verdict = g.classify_type(example1_sys)
     witness = abs(abs(g.krein_gram(example1_sys)[0, 0]) - 1.0)
     ok = verdict == "not_j_orthonormal" and witness >= 0.18
     report(
@@ -110,7 +109,7 @@ def test_criterion_06_perturbed_anharmonic():
         g.ExampleSpec(id="perturbed_anharmonic", beta=4.0, p="(scale 0.5 (atan x))", n=8)
     )
     biorth = g.biorthogonality_defect(sys_)
-    verdict = g.classify_type(sys_).verdict
+    verdict = g.classify_type(sys_)
     signs = sys_.basis.parity_signs
     elapsed = time.perf_counter() - start
     ok = (
@@ -145,16 +144,14 @@ def test_criterion_08_c_symmetry_suite(shifted_sys, rng):
     coeffs = span_functions(sys_, 10, rng)
     worst_c2 = max(c_squared_residual(sys_, coeffs))
     positive = all(jc_positivity_value(sys_, coeffs) > 0)
-    c_phi, _ = g.c_tables(sys_)
-    plus, minus = (sys_.phi_samples + c_phi) / 2, (sys_.phi_samples - c_phi) / 2
-    a, b = coeffs[:3], coeffs[3:6]
-    v1 = g.krein_rows(r, a @ c_phi, b @ sys_.phi_samples)
-    v2 = np.sum((a @ g.weighted_gram(sys_, "phi")) * np.conj(b), axis=1)
-    v3 = g.krein_rows(r, a @ plus, b @ plus) - g.krein_rows(r, a @ minus, b @ minus)
+    f, cf, _ = g.c_rows(sys_, coeffs)
+    plus, minus = (f + cf) / 2, (f - cf) / 2
+    a, b = slice(0, 3), slice(3, 6)
+    v1 = g.krein_rows(r, cf[a], f[b])
+    v2 = np.sum((coeffs[a] @ g.weighted_gram(sys_, "phi")) * np.conj(coeffs[b]), axis=1)
+    v3 = g.krein_rows(r, plus[a], plus[b]) - g.krein_rows(r, minus[a], minus[b])
     worst_tri = max(np.max(np.abs(v1 - v2)), np.max(np.abs(v1 - v3)))
-    phi_weighted = weighted_samples(sys_, "phi")
-    f_weighted = coeffs @ phi_weighted
-    worst_exp = max(g.expansion_residual(sys_, coeffs @ sys_.phi_samples, f_weighted, phi_weighted))
+    worst_exp = max(g.expansion_residual(sys_, coeffs))
     ok = worst_c2 <= 1e-8 and positive and worst_tri <= 1e-8 and worst_exp <= 1e-8
     report(
         "criterion-08 C-symmetry suite",

@@ -16,13 +16,13 @@ from grslab import (
 
 class TestMakeExample:
     def test_shifted_first_type(self, shifted_sys):
-        assert classify_type(shifted_sys).verdict == "first_type"
+        assert classify_type(shifted_sys) == "first_type"
 
     def test_example1_negative(self, example1_sys):
-        assert classify_type(example1_sys).verdict == "not_j_orthonormal"
+        assert classify_type(example1_sys) == "not_j_orthonormal"
 
     def test_perturbed_first_type(self, perturbed_sys):
-        assert classify_type(perturbed_sys).verdict == "first_type"
+        assert classify_type(perturbed_sys) == "first_type"
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):

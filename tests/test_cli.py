@@ -467,7 +467,7 @@ class TestScalingGuard:
         # Hermite tables are its member table and, for translation, the two
         # shifted ones (counted as in a fresh process, probe not yet cached),
         # and the parity verdict samples none
-        for example, tables in (("shifted-ho", 10), ("perturbed-anharmonic", 2)):
+        for example, tables in (("shifted-ho", 9), ("perturbed-anharmonic", 2)):
             counts.clear()
             gaussian_test_function.cache_clear()
             assert main(["verify", example, "--n", "32"]) == 0

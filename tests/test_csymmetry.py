@@ -15,7 +15,7 @@ from grslab import (
     apply_exp_q,
     apply_parity,
     build_system,
-    c_tables,
+    c_rows,
     classify_type,
     expansion_residual,
     hermite_basis,
@@ -31,8 +31,7 @@ from grslab import (
     weighted_inner,
 )
 from grslab.csymmetry import c_squared_residual, jc_positivity_value
-from grslab.grs import weighted_samples
-from grslab.suites import gaussian_test_function, span_functions
+from grslab.suites import span_functions
 
 from conftest import member_reps
 
@@ -44,14 +43,19 @@ def zero_sys():
     return build_system(Multiplication("(scale 0 x)"), BASIS, 8)
 
 
+def member_c(sys_):
+    """phi, C phi and C^2 phi, one row per member: C on the unit span rows."""
+    return c_rows(sys_, np.eye(sys_.n))
+
+
 @pytest.fixture(scope="module")
 def shifted_c(shifted_sys):
-    return c_tables(shifted_sys)
+    return member_c(shifted_sys)
 
 
 @pytest.fixture(scope="module")
 def perturbed_c(perturbed_sys):
-    return c_tables(perturbed_sys)
+    return member_c(perturbed_sys)
 
 
 def split_tables(sys_, c_phi):
@@ -66,12 +70,6 @@ def span_rep(sys_, row):
     if isinstance(phi_0, CoefficientRep):
         return CoefficientRep(sys_.basis, row, phi_0.shift)
     return SampleRep(sys_.rule, row @ sys_.phi_samples)
-
-
-def gaussian_rep():
-    """The quasi-basis probe as a coefficient representation."""
-    probe = gaussian_test_function()
-    return CoefficientRep(hermite_basis(probe.size), probe)
 
 
 def sampled_pair(sys_, f):
@@ -145,59 +143,54 @@ class TestSignsAndPartner:
 
 class TestClassification:
     def test_shifted_first_type(self, shifted_sys):
-        cls = classify_type(shifted_sys)
-        assert cls.verdict == "first_type"
-        assert cls.q is shifted_sys.q
-        assert cls.j_defect <= 1e-8
+        assert classify_type(shifted_sys) == "first_type"
 
     def test_perturbed_first_type(self, perturbed_sys):
-        assert classify_type(perturbed_sys).verdict == "first_type"
+        assert classify_type(perturbed_sys) == "first_type"
 
     def test_example1_negative(self, example1_sys):
-        cls = classify_type(example1_sys)
-        assert cls.verdict == "not_j_orthonormal"
-        assert cls.q is None
-        assert cls.j_defect >= 0.18
+        assert classify_type(example1_sys) == "not_j_orthonormal"
 
     def test_undetermined_branch(self, zero_sys):
         # indefinitely orthonormal family whose wired-in generator is even:
         # no anticommutation witness, and second type is not certifiable
         even = Multiplication("(gauss 1)")
         synthetic = dataclasses.replace(zero_sys, q=even)
-        assert classify_type(synthetic).verdict == "undetermined"
+        assert classify_type(synthetic) == "undetermined"
 
 
 class TestOperatorC:
     def test_requires_anticommuting_generator(self, example1_sys):
         with pytest.raises(StructureError, match="no C-symmetry operator"):
-            c_tables(example1_sys)
+            member_c(example1_sys)
 
     def test_fixes_positive_members(self, shifted_sys, shifted_c):
-        c_phi, _ = shifted_c
+        _, c_phi, _ = shifted_c
         assert np.max(np.abs(c_phi[2] - shifted_sys.phi_samples[2])) <= 1e-8
 
     def test_negates_negative_members(self, shifted_sys, shifted_c):
-        c_phi, _ = shifted_c
+        _, c_phi, _ = shifted_c
         assert np.max(np.abs(c_phi[1] + shifted_sys.phi_samples[1])) <= 1e-8
 
     def test_zero_generator_reduces_to_parity(self, zero_sys):
-        c_phi, cc_phi = c_tables(zero_sys)
+        phi, c_phi, cc_phi = member_c(zero_sys)
+        assert np.array_equal(phi, zero_sys.phi_samples)
         assert np.array_equal(c_phi, zero_sys.phi_samples[:, ::-1])
         assert np.array_equal(cc_phi, zero_sys.phi_samples)
 
     @pytest.mark.parametrize("fixture,cfix", [("shifted_sys", "shifted_c"), ("perturbed_sys", "perturbed_c")])
     def test_involution_on_random_span(self, fixture, cfix, rng, request):
         sys_ = request.getfixturevalue(fixture)
-        _, cc_phi = request.getfixturevalue(cfix)
+        phi, _, cc_phi = request.getfixturevalue(cfix)
         r = sys_.rule
-        assert np.max(r.norm(cc_phi - sys_.phi_samples) / r.norm(sys_.phi_samples)) <= 1e-8
+        assert np.max(r.norm(cc_phi - phi) / r.norm(phi)) <= 1e-8
         assert np.max(c_squared_residual(sys_, span_functions(sys_, 10, rng))) <= 1e-8
 
     @pytest.mark.parametrize("fixture,cfix", [("shifted_sys", "shifted_c"), ("perturbed_sys", "perturbed_c")])
     def test_jc_positivity_on_random_span(self, fixture, cfix, rng, request):
         sys_ = request.getfixturevalue(fixture)
-        c_phi, _ = request.getfixturevalue(cfix)
-        assert np.all(krein_rows(sys_.rule, c_phi, sys_.phi_samples).real > 0.0)
+        phi, c_phi, _ = request.getfixturevalue(cfix)
+        assert np.all(krein_rows(sys_.rule, c_phi, phi).real > 0.0)
         assert np.all(jc_positivity_value(sys_, span_functions(sys_, 10, rng)) > 0.0)
 
     @pytest.mark.parametrize("fixture", ["shifted_sys", "perturbed_sys"])
@@ -206,8 +199,8 @@ class TestOperatorC:
         # apply_parity / apply_exp_q and sampled, as the per-function path did
         sys_ = request.getfixturevalue(fixture)
         r = sys_.rule
-        c_phi, cc_phi = c_tables(sys_)
         coeffs = span_functions(sys_, 4, rng)
+        f_rows, cf_rows, ccf_rows = c_rows(sys_, coeffs)
         c2 = c_squared_residual(sys_, coeffs)
         jc = jc_positivity_value(sys_, coeffs)
         for i, row in enumerate(coeffs):
@@ -215,9 +208,9 @@ class TestOperatorC:
             cf = apply_exp_q(sys_.q, 1.0, apply_parity(f), r)
             ccf = apply_exp_q(sys_.q, 1.0, apply_parity(cf), r)
             fs, cfs, ccfs = (to_samples(h, r).samples for h in (f, cf, ccf))
-            assert np.max(np.abs(row @ sys_.phi_samples - fs)) <= 1e-13
-            assert np.max(np.abs(row @ c_phi - cfs)) <= 1e-13
-            assert np.max(np.abs(row @ cc_phi - ccfs)) <= 1e-13
+            assert np.max(np.abs(f_rows[i] - fs)) <= 1e-13
+            assert np.max(np.abs(cf_rows[i] - cfs)) <= 1e-13
+            assert np.max(np.abs(ccf_rows[i] - ccfs)) <= 1e-13
             assert abs(c2[i] - r.norm(ccfs - fs) / r.norm(fs)) <= 1e-13
             assert abs(jc[i] - inner(to_samples(apply_parity(cf), r), to_samples(f, r)).real) <= 1e-13
 
@@ -228,34 +221,34 @@ class TestOperatorC:
 def test_c_properties_on_random_span(which, n, seed, shifted_sys, perturbed_sys):
     sys_ = truncated(shifted_sys if which == "shifted_sys" else perturbed_sys, n)
     coeffs = span_functions(sys_, 2, np.random.default_rng(seed))
-    plus, minus = split_tables(sys_, c_tables(sys_)[0])
+    f, cf, _ = c_rows(sys_, coeffs)
+    plus, minus = (f + cf) / 2, (f - cf) / 2
     assert np.max(c_squared_residual(sys_, coeffs)) <= 1e-8
     assert np.all(jc_positivity_value(sys_, coeffs) > 0.0)
-    assert abs(krein_rows(sys_.rule, coeffs[0] @ plus, coeffs[1] @ minus)) <= 1e-8
-    assert np.max(np.abs(coeffs @ plus + coeffs @ minus - coeffs @ sys_.phi_samples)) <= 1e-13
+    assert abs(krein_rows(sys_.rule, plus[0], minus[1])) <= 1e-8
+    assert np.max(np.abs(plus + minus - f)) <= 1e-13
 
 
 class TestCMetric:
     def test_members_orthonormal(self, shifted_sys, shifted_c):
-        c_phi, _ = shifted_c
+        _, c_phi, _ = shifted_c
         idx = [0, 1, 3]
         z = krein_rows(shifted_sys.rule, c_phi[idx, np.newaxis], shifted_sys.phi_samples[np.newaxis, idx])
         assert np.max(np.abs(z - np.eye(3))) <= 1e-8
 
-    def test_positive_definite(self, shifted_sys, shifted_c, rng):
-        c_phi, _ = shifted_c
-        coeffs = span_functions(shifted_sys, 5, rng)
-        z = krein_rows(shifted_sys.rule, coeffs @ c_phi, coeffs @ shifted_sys.phi_samples)
+    def test_positive_definite(self, shifted_sys, rng):
+        f, cf, _ = c_rows(shifted_sys, span_functions(shifted_sys, 5, rng))
+        z = krein_rows(shifted_sys.rule, cf, f)
         assert np.all(z.real > 0) and np.all(np.abs(z.imag) < 1e-10)
 
     def test_zero_generator_is_plain_inner(self, zero_sys):
-        c_phi, _ = c_tables(zero_sys)
+        _, c_phi, _ = member_c(zero_sys)
         e0, e2 = (SampleRep(zero_sys.rule, zero_sys.phi_samples[k]) for k in (0, 2))
         assert krein_rows(zero_sys.rule, c_phi[0], e2.samples) == pytest.approx(inner(e0, e2), abs=1e-14)
         assert krein_rows(zero_sys.rule, c_phi[0], e0.samples) == pytest.approx(1.0, abs=1e-14)
 
     def test_agrees_with_weighted_inner(self, shifted_sys, shifted_c, rng):
-        c_phi, _ = shifted_c
+        _, c_phi, _ = shifted_c
         r = shifted_sys.rule
         fs, gs = span_functions(shifted_sys, 3, rng), span_functions(shifted_sys, 2, rng)
         gram = weighted_gram(shifted_sys, "phi")
@@ -269,19 +262,19 @@ class TestCMetric:
 
 class TestFundamentalSplit:
     def test_positive_member(self, shifted_sys, shifted_c):
-        plus, minus = split_tables(shifted_sys, shifted_c[0])
+        plus, minus = split_tables(shifted_sys, shifted_c[1])
         assert np.max(np.abs(plus[0] - shifted_sys.phi_samples[0])) <= 1e-8
         assert np.max(np.abs(minus[0])) <= 1e-8
 
     def test_negative_member(self, shifted_sys, shifted_c):
-        plus, minus = split_tables(shifted_sys, shifted_c[0])
+        plus, minus = split_tables(shifted_sys, shifted_c[1])
         assert np.max(np.abs(minus[1] - shifted_sys.phi_samples[1])) <= 1e-8
         assert np.max(np.abs(plus[1])) <= 1e-8
 
     def test_mixed_member_and_metric_identity(self, shifted_sys, shifted_c):
         row = np.zeros(shifted_sys.n, dtype=complex)
         row[:2] = 1.0  # phi_0 + phi_1
-        plus, minus = split_tables(shifted_sys, shifted_c[0])
+        plus, minus = split_tables(shifted_sys, shifted_c[1])
         fp, fm = row @ plus, row @ minus
         assert np.max(np.abs(fp - shifted_sys.phi_samples[0])) <= 1e-8
         assert np.max(np.abs(fm - shifted_sys.phi_samples[1])) <= 1e-8
@@ -289,7 +282,7 @@ class TestFundamentalSplit:
         assert np.max(np.abs(fp + fm - row @ shifted_sys.phi_samples)) <= 1e-15
 
     def test_split_sign_and_orthogonality(self, shifted_sys, shifted_c, rng):
-        c_phi, _ = shifted_c
+        _, c_phi, _ = shifted_c
         r = shifted_sys.rule
         plus, minus = split_tables(shifted_sys, c_phi)
         for a in span_functions(shifted_sys, 3, rng):
@@ -305,52 +298,34 @@ class TestFundamentalSplit:
 class TestExpansion:
     def test_single_member_exact(self, shifted_sys):
         cut = truncated(shifted_sys, 4)
-        e = weighted_samples(cut, "phi")
-        assert expansion_residual(cut, cut.phi_samples[3:4], e[3:4], e)[0] <= 1e-9
+        assert expansion_residual(cut, np.eye(4)[3:4])[0] <= 1e-9
 
     def test_span_functions_exact(self, shifted_sys, rng):
         coeffs = span_functions(shifted_sys, 5, rng)
-        e = weighted_samples(shifted_sys, "phi")
-        assert np.max(expansion_residual(shifted_sys, coeffs @ shifted_sys.phi_samples, coeffs @ e, e)) <= 1e-8
-
-    def test_gaussian_probe_converges(self, shifted_sys32):
-        f, fw = sampled_pair(shifted_sys32, gaussian_rep())
-        e = weighted_samples(shifted_sys32, "phi")
-        r8 = expansion_residual(truncated(shifted_sys32, 8), f, fw, e[:8])
-        r32 = expansion_residual(shifted_sys32, f, fw, e)
-        assert r32[0] < r8[0]
+        assert np.max(expansion_residual(shifted_sys, coeffs)) <= 1e-8
 
     @pytest.mark.parametrize("fixture", ["shifted_sys", "perturbed_sys"])
     def test_matches_member_loop(self, fixture, request, rng):
+        # reference: f = sum_n c_n phi_n as its own FunctionRep, the alphas
+        # as quadrature pairings and exp(-Q/2) applied member by member
         sys_ = request.getfixturevalue(fixture)
-        r, w = sys_.rule, sys_.rule.dx_weights
-        signs = np.array(sign_sequence(sys_))
-        e = weighted_samples(sys_, "phi")
         for row in span_functions(sys_, 3, rng):
-            f = span_rep(sys_, row)
-            fs, fw = sampled_pair(sys_, f)
-            alphas = signs * (np.conj(sys_.phi_samples) @ (w * fs[0, ::-1]))
-            phi = member_reps(sys_, "phi")
             for m in (4, sys_.n):
+                cut = truncated(sys_, m)
+                r, w = cut.rule, cut.rule.dx_weights
+                signs = np.array(sign_sequence(cut))
+                fs, fw = sampled_pair(cut, span_rep(cut, row[:m]))
+                alphas = signs * (np.conj(cut.phi_samples) @ (w * fs[0, ::-1]))
                 u = fw[0].copy()
-                for n in range(m):
-                    u -= alphas[n] * to_samples(apply_exp_q(sys_.q, -0.5, phi[n], r), r).samples
+                for n, phi_n in enumerate(member_reps(cut, "phi")):
+                    u -= alphas[n] * to_samples(apply_exp_q(cut.q, -0.5, phi_n, r), r).samples
                 want = math.sqrt(abs(np.sum(w * np.abs(u) ** 2)))
-                got = expansion_residual(truncated(sys_, m), fs, fw, e[:m])[0]
+                got = expansion_residual(cut, row[np.newaxis, :m])[0]
                 assert got == pytest.approx(want, abs=1e-14)
 
     def test_needs_first_type(self, example1_sys):
-        f = example1_sys.phi_samples[:1]
         with pytest.raises(StructureError):
-            expansion_residual(example1_sys, f, f, weighted_samples(example1_sys, "phi"))
-
-    def test_truncated_system_consistency(self, shifted_sys32):
-        # the truncated system's exp(-Q/2) phi table is the full one's prefix
-        small = truncated(shifted_sys32, 8)
-        f, fw = sampled_pair(shifted_sys32, gaussian_rep())
-        a = expansion_residual(small, f, fw, weighted_samples(shifted_sys32, "phi")[:8])
-        b = expansion_residual(small, f, fw, weighted_samples(small, "phi"))
-        assert a[0] == pytest.approx(b[0], rel=1e-12)
+            expansion_residual(example1_sys, np.eye(example1_sys.n)[:1])
 
 
 def test_grams_are_cached_read_only(shifted_sys):

@@ -107,7 +107,7 @@ class TestEigenResiduals:
 
         sys_ = make_example(ExampleSpec(id=example, n=64, a=0.5 if example == "shifted_ho" else None))
         real = grslab.basis.hermite_function_table
-        points = len(_fd_grid(3))
+        points = len(_fd_grid())
         rows_on_grid = []
 
         def spy(nmax, z):

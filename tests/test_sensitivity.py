@@ -9,21 +9,35 @@ injection can move carries no numerical evidence.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grslab import defaults as dflt
 from grslab.report import run_check
+from grslab.grs import truncated
 from grslab.suites import SUITES, Run, weighted_onb_defect
 
 DELTAS = st.floats(1e-8, 1e-3) | st.floats(-1e-3, -1e-8)
+#: small enough that scaling one phi row keeps its [phi_n, phi_n] within
+#: tol_krein of +-1, so the sign sequence still rounds
+KREIN_DELTAS = st.floats(1e-8, 2e-7) | st.floats(-2e-7, -1e-8)
+SETTINGS = {"tol_krein": dflt.TOL_KREIN, "expect": "first_type"}
 
 
 def run_row(example, check, sys_):
     """One row of a catalog's suite table on a fresh run context, so every
     call draws the same random vectors."""
     name, tol_name, defect = next(row for row in SUITES[example] if row[0] == check)
-    return run_check(name, getattr(dflt, tol_name), lambda: defect(Run(sys_, {})))
+    return run_check(name, getattr(dflt, tol_name), lambda: defect(Run(sys_, SETTINGS)))
+
+
+def scale_centre_weight(sys_, delta):
+    """The system on a rule whose weight of the node next to the centre is
+    scaled by 1 + delta."""
+    w = np.array(sys_.rule.dx_weights)
+    w[len(w) // 2] *= 1.0 + delta
+    return dataclasses.replace(sys_, rule=dataclasses.replace(sys_.rule, dx_weights=w))
 
 
 @given(delta=DELTAS)
@@ -32,12 +46,53 @@ def test_weighted_orthonormality_sees_one_rule_weight(shifted_sys, delta):
     # shifted_ho's weighted Grams are quadrature products over the rule, so
     # scaling the weight of the node next to the centre must show (by about
     # 0.145 delta at N = 16)
-    rule = shifted_sys.rule
-    w = np.array(rule.dx_weights)
-    w[len(rule) // 2] *= 1.0 + delta
-    moved = dataclasses.replace(shifted_sys, rule=dataclasses.replace(rule, dx_weights=w))
+    moved = scale_centre_weight(shifted_sys, delta)
     shift = abs(weighted_onb_defect(moved) - weighted_onb_defect(shifted_sys))
     assert shift >= abs(delta) / 10
+
+
+@given(delta=DELTAS)
+@settings(max_examples=20, deadline=None)
+def test_c_metric_consistency_sees_one_rule_weight(shifted_sys, delta):
+    # the Krein rows [Cf, g] are quadrature sums over the rule, the factored
+    # form a W b^H another; scaling the weight next to the centre moves their
+    # gap by about 0.54 delta at N = 16
+    before = run_row("shifted_ho", "c_metric_consistency", shifted_sys).value
+    moved = scale_centre_weight(shifted_sys, delta)
+    shift = abs(run_row("shifted_ho", "c_metric_consistency", moved).value - before)
+    assert shift >= abs(delta) / 10
+
+
+@pytest.mark.parametrize("example", ["shifted_ho", "perturbed_anharmonic"])
+@given(delta=KREIN_DELTAS)
+@settings(max_examples=20, deadline=None)
+def test_expansion_sees_one_phi_row(shifted_sys, perturbed_sys, example, delta):
+    # scaling phi_1 scales [phi_1, phi_1] by (1 + delta)^2, so the expansion
+    # coefficient of phi_1 in each span row c misses by about 2 delta |c_1|:
+    # the worst of the five rows moves by 0.51 delta (shifted_ho, N = 16) and
+    # 0.98 delta (perturbed_anharmonic, N = 8)
+    sys_ = shifted_sys if example == "shifted_ho" else perturbed_sys
+    phi = np.array(sys_.phi_samples)
+    phi[1] *= 1.0 + delta
+    moved = dataclasses.replace(sys_, phi_samples=phi)
+    before = run_row(example, "expansion", sys_).value
+    shift = abs(run_row(example, "expansion", moved).value - before)
+    assert shift >= abs(delta) / 10
+
+
+def test_nan_on_the_krein_diagonal_fails_the_sign_checks(shifted_sys):
+    # one nan sample of phi_3 puts nan on [phi_3, phi_3]: the sign sequence
+    # refuses it, and classification does not read it as first_type
+    cut = truncated(shifted_sys, 8)
+    phi = np.array(cut.phi_samples)
+    phi[3, phi.shape[1] // 2] = np.nan
+    broken = dataclasses.replace(cut, phi_samples=phi)
+    for check in ("partner", "expansion"):
+        got = run_row("shifted_ho", check, broken)
+        assert not got.passed
+        assert got.error.startswith("NotJOrthonormalError: [phi_3, phi_3] = nan is not unimodular")
+    got = run_row("shifted_ho", "classification", broken)
+    assert got.value == 1.0 and not got.passed
 
 
 @given(delta=DELTAS, row=st.integers(0, 15))
