@@ -133,19 +133,20 @@ def c_rows(sys: BiorthogonalSystem, coeffs: np.ndarray) -> tuple[np.ndarray, np.
 
 def krein_rows(rule: QuadratureRule, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """[f_i, g_i] = <J f_i, g_i> for each row pair of two sample tables."""
-    return np.sum(rule.dx_weights * f[..., ::-1] * np.conj(g), axis=-1)
+    return np.sum(rule.dx_weights * f[..., ::-1] * g.conj(), axis=-1)
 
 
-def c_squared_residual(sys: BiorthogonalSystem, coeffs: np.ndarray) -> np.ndarray:
-    """||C(Cf) - f|| / ||f|| for each span row f = coeffs @ phi."""
-    f, _, ccf = c_rows(sys, coeffs)
-    return sys.rule.norm(ccf - f) / sys.rule.norm(f)
+def c_squared_residual(rule: QuadratureRule, rows: tuple[np.ndarray, ...]) -> np.ndarray:
+    """||C(Cf) - f|| / ||f|| for each span row of ``rows`` = :func:`c_rows`."""
+    f, _, ccf = rows
+    return rule.norm(ccf - f) / rule.norm(f)
 
 
-def jc_positivity_value(sys: BiorthogonalSystem, coeffs: np.ndarray) -> np.ndarray:
-    """<J(Cf), f> = Re [Cf, f] for each span row; must be strictly positive."""
-    f, cf, _ = c_rows(sys, coeffs)
-    return krein_rows(sys.rule, cf, f).real
+def jc_positivity_value(rule: QuadratureRule, rows: tuple[np.ndarray, ...]) -> np.ndarray:
+    """<J(Cf), f> = Re [Cf, f] for each span row of ``rows`` = :func:`c_rows`;
+    must be strictly positive."""
+    f, cf, _ = rows
+    return krein_rows(rule, cf, f).real
 
 
 def expansion_residual(sys: BiorthogonalSystem, coeffs: np.ndarray, tol: float = TOL_KREIN) -> np.ndarray:

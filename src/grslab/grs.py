@@ -9,14 +9,17 @@ A built system is two (N x P) sample tables on one working rule.  Every
 table of moved members exp(tQ) e_k comes from one dispatch over generator
 kinds, :func:`_moved_table`: one Hermite table at the complex-shifted
 argument for translation generators, pointwise exp(tq) multiplies of the
-member table for multiplication symbols.  The quasi-basis probe, a
-coefficient row over the Hermite functions, is moved as one sampled row by
-the same dispatch, and the build and the probe pass one domain-decay gate
-(:func:`grslab.metric_ops.decay_scores` on the moved tables).  The Grams and
-the defects are matrix expressions over those tables (BLAS products), not
-loops over members or pairs.  Weighted inner products are always evaluated
-in the factored form <exp(sQ/2) f, exp(sQ/2) g>, which halves the dynamic
-range compared to applying exp(sQ) whole; :func:`weighted_inner` is the
+member table for multiplication symbols.  A table is real exactly when its
+samples are: members on the real nodes and their multiplication moves are
+float64, and only a nonzero translation shift makes a table complex.  The
+quasi-basis probe, a coefficient row over the Hermite functions, is moved
+as one sampled row by the same dispatch, and the build and the probe pass
+one domain-decay gate (:func:`grslab.metric_ops.decay_scores` on the moved
+tables).  The Grams and the defects are matrix expressions over those
+tables (BLAS products, real ones over two real tables), not loops over
+members or pairs.  Weighted inner products are always evaluated in the
+factored form <exp(sQ/2) f, exp(sQ/2) g>, which halves the dynamic range
+compared to applying exp(sQ) whole; :func:`weighted_inner` is the
 per-function reference that tests compare the tables against.
 """
 
@@ -83,7 +86,7 @@ class BiorthogonalSystem:
     def biorth_gram(self) -> NDArray:
         """G[n, m] = <phi_n, psi_m> on the working rule."""
         w = self.rule.dx_weights
-        return _readonly((self.phi_samples * w) @ np.conj(self.psi_samples.T))
+        return _readonly((self.phi_samples * w) @ self.psi_samples.conj().T)
 
     @cached_property
     def phi_weighted_gram(self) -> NDArray:
@@ -96,7 +99,7 @@ class BiorthogonalSystem:
         if not self.rule.is_symmetric:
             raise StructureError("indefinite Gram needs a symmetric working grid")
         w = self.rule.dx_weights
-        return _readonly((self.phi_samples[:, ::-1] * w) @ np.conj(self.phi_samples.T))
+        return _readonly((self.phi_samples[:, ::-1] * w) @ self.phi_samples.conj().T)
 
     @cached_property
     def parity(self) -> bool:
@@ -117,16 +120,17 @@ def _exponent(which: str) -> float:
 def _member_table(
     basis: BasisSet, n: int, rule: QuadratureRule, shift: complex = 0j
 ) -> np.ndarray:
-    """Samples of e_k(x + shift), k < n, on ``rule``, one row per member.
+    """Samples of e_k(x + shift), k < n, on ``rule``, one row per member:
+    real on the real nodes, complex only for a nonzero shift.
 
     Row k equals ``to_samples`` of the unit vector e_k (with that shift) bit
-    for bit: analytic members are evaluated at complex arguments as
-    :func:`grslab.krein.evaluate` does, the recurrence rows do not depend on
+    for bit: analytic members are evaluated as :func:`grslab.krein.evaluate`
+    does (real arithmetic at shift 0), the recurrence rows do not depend on
     the top degree, and the unit-vector contractions are exact.
     """
-    if basis.is_analytic:
-        return hermite_function_table(n - 1, np.asarray(rule.nodes, dtype=complex) + shift)
-    return basis.table(rule)[:n]
+    if not basis.is_analytic:
+        return basis.table(rule)[:n]
+    return hermite_function_table(n - 1, rule.nodes + shift if shift else rule.nodes)
 
 
 def _moved_table(
@@ -138,8 +142,8 @@ def _moved_table(
     family: tuple[float, np.ndarray] | None = None,
     coeffs: np.ndarray | None = None,
 ) -> np.ndarray:
-    """exp(tQ) applied to each of n members on ``rule``: a fresh complex
-    C-ordered table, one row per member.
+    """exp(tQ) applied to each of n members on ``rule``: a fresh C-ordered
+    table, one row per member, complex only where the samples are.
 
     The members are the basis members e_k, k < n, or, given ``family =
     (t0, table)``, the members exp(t0 Q) e_k already sampled on ``rule``.
@@ -147,15 +151,15 @@ def _moved_table(
     combinations ``coeffs`` @ members, and ``table`` holds their samples.
     Translation evaluates one member table at the argument shift
     2ia(t0 + t), which is exact and needs the analytic basis, and contracts
-    it with ``coeffs``.  Multiplication multiplies the table pointwise by
-    exp(tq), with the overflow checks of :func:`multiply_exp_q`.
+    it with ``coeffs``; at t0 + t = 0 that is the real member table.
+    Multiplication multiplies the table pointwise by exp(tq), with the
+    overflow checks of :func:`multiply_exp_q`, and keeps the table's dtype.
     """
     t0, table = (0.0, None) if family is None else family
     if isinstance(q_op, Multiplication):
         if table is None:
             table = _member_table(basis, n, rule)
-        # C order: numeric member tables are transposed views
-        return np.ascontiguousarray(multiply_exp_q(q_op, t, table, rule), dtype=complex)
+        return multiply_exp_q(q_op, t, table, rule)
     if not basis.is_analytic:
         raise StructureError("translation generators act on the analytic Hermite basis")
     table = _member_table(basis, n, rule, 2j * q_op.a * (t0 + t))
@@ -237,9 +241,10 @@ def gq_basis_defect(sys: BiorthogonalSystem, f: np.ndarray) -> float:
     this sum when both arguments are f, so it carries no further evidence.
     f is a coefficient row over the analytic Hermite functions and must
     clear the domain-decay gate for both signs: its sampled row is moved by
-    exp(+-Q/2) through the dispatch that builds the families.
+    exp(+-Q/2) through the dispatch that builds the families.  A real row
+    stays real, so on a multiplication system every product here is real.
     """
-    f = np.asarray(f, dtype=complex)
+    f = np.asarray(f)
     if f.ndim != 1 or f.size == 0:
         raise DomainError(f"f must be a nonempty coefficient row, got shape {f.shape}")
     basis, rule = hermite_basis(f.size), sys.rule
@@ -248,9 +253,9 @@ def gq_basis_defect(sys: BiorthogonalSystem, f: np.ndarray) -> float:
              for t in _EXPONENTS.values()]
     _decay_gate(moved, rule, lambda k: "probe")
     w = rule.dx_weights
-    ff = np.sum(w * fs * np.conj(fs))
-    f_phi = np.conj(sys.phi_samples * w) @ fs      # <f, phi_n>
-    psi_f = (sys.psi_samples * w) @ np.conj(fs)    # <psi_n, f>
+    ff = np.sum(w * fs * fs.conj())
+    f_phi = (sys.phi_samples * w).conj() @ fs      # <f, phi_n>
+    psi_f = (sys.psi_samples * w) @ fs.conj()      # <psi_n, f>
     return float(abs(ff - np.sum(f_phi * psi_f)))
 
 
@@ -307,11 +312,11 @@ def weighted_inner(
 def weighted_gram(sys: BiorthogonalSystem, which: str) -> np.ndarray:
     """W[n, m] = <exp(-tQ) f_n, exp(-tQ) f_m> for f = phi (t = 1/2) or psi
     (t = -1/2), one quadrature product for both generator kinds: each family
-    is pulled back by the inverse of its build exponent."""
+    is pulled back by the inverse of its build exponent, onto a real table:
+    on translation both land on the member table, so the two Grams are one."""
     t = _exponent(which)
     rows = _moved_table(sys.q, sys.basis, sys.n, sys.rule, -t, (t, family_samples(sys, which)))
-    weighted = rows * sys.rule.dx_weights
-    return weighted @ np.conj(rows, out=rows).T  # rows are a fresh table
+    return (rows * sys.rule.dx_weights) @ rows.conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -103,12 +103,16 @@ def unit_vector(basis: BasisSet, n: int, amplitude: complex = 1.0) -> Coefficien
 
 
 def evaluate(f: CoefficientRep, z):
-    """Evaluate an analytic coefficient representation at complex points."""
+    """Evaluate an analytic coefficient representation at complex points.
+
+    The member table is real, and evaluated in real arithmetic, exactly when
+    the points are real and the shift is zero.
+    """
     if not isinstance(f, CoefficientRep):
         raise StructureError("only coefficient representations are evaluable off-grid")
     if not f.basis.is_analytic:
         raise StructureError("numeric bases are defined only on their grid; use to_samples")
-    zz = np.asarray(z, dtype=complex) + f.shift
+    zz = np.asarray(z) + f.shift if f.shift else np.asarray(z)
     table = hermite_function_table(f.coeffs.size - 1, zz)
     return np.tensordot(f.coeffs, table, axes=(0, 0))[()]
 

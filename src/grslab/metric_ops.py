@@ -138,9 +138,10 @@ def multiply_exp_q(
     q_op: Multiplication, t: float, samples: np.ndarray, rule: QuadratureRule
 ) -> np.ndarray:
     """exp(tQ) for a multiplication generator, applied pointwise to samples
-    on ``rule``: one function, or a table with one function per row."""
+    on ``rule``: one function, or a table with one function per row, returned
+    C-ordered whatever the layout of ``samples``."""
     factors = _checked_exp(t * q_op.values(rule.nodes))
-    values = factors * samples
+    values = np.multiply(factors, samples, order="C")
     if not np.all(np.isfinite(values)):
         raise MagnitudeError("exp(tQ) f left the representable range")
     return values

@@ -41,6 +41,7 @@ from .grs import (
     weighted_gram,
 )
 from .hamiltonian import eigen_residual, fd_matrix
+from .metric_ops import Multiplication
 from .report import Check, run_check
 
 __all__ = [
@@ -70,7 +71,6 @@ def gaussian_test_function() -> np.ndarray:
     rule = gauss_hermite_rule(2 * size + dflt.QUAD_ORDER_PAD, 1.0)
     table = hermite_function_table(size - 1, rule.nodes)
     coeffs = (table * rule.dx_weights) @ np.exp(-rule.nodes**2)
-    coeffs = coeffs.astype(complex)
     coeffs /= np.linalg.norm(coeffs)
     coeffs.setflags(write=False)
     return coeffs
@@ -91,20 +91,26 @@ def span_functions(sys: BiorthogonalSystem, count: int, rng: np.random.Generator
 # ---------------------------------------------------------------------------
 
 def weighted_onb_defect(sys: BiorthogonalSystem) -> float:
-    """Worst deviation of the two weighted family Grams from the identity."""
-    grams = (sys.phi_weighted_gram, weighted_gram(sys, "psi"))
+    """Worst deviation of the two weighted family Grams from the identity.
+
+    Translation pulls both families back to the same member table, so its
+    psi Gram is the phi Gram bit for bit and is not formed again."""
+    grams = [sys.phi_weighted_gram]
+    if isinstance(sys.q, Multiplication):
+        grams.append(weighted_gram(sys, "psi"))
     return float(np.max([np.max(np.abs(g - np.eye(sys.n))) for g in grams]))
 
 
-def c_metric_consistency_defect(sys: BiorthogonalSystem, coeffs: np.ndarray) -> float:
+def c_metric_consistency_defect(run: Run) -> float:
     """Consistency triangle between [Cf, g], the factored weighted product
     and the fundamental-split form, plus the split sign conditions, over the
-    span-row pairs (f, g) = (row i, row i + 1), i < 3."""
+    run's span-row pairs (f, g) = (row i, row i + 1), i < 3."""
+    sys, coeffs = run.sys, run.span
     i = np.arange(min(3, len(coeffs)))
     j = (i + 1) % len(coeffs)
     # <exp(-Q/2) f, exp(-Q/2) g> = a W b^H for the coefficient rows a, b of f, g
     v2 = np.sum((coeffs[i] @ sys.phi_weighted_gram) * np.conj(coeffs[j]), axis=1)
-    rows, c_of_rows, _ = c_rows(sys, coeffs)
+    rows, c_of_rows, _ = run.span_c
     f, g, cf, cg = rows[i], rows[j], c_of_rows[i], c_of_rows[j]
     v1 = krein_rows(sys.rule, cf, g)
     # f = f_+ + f_- along the projectors (I +- C)/2
@@ -172,6 +178,12 @@ class Run:
         """Ten random span functions, drawn when the first span check runs."""
         return span_functions(self.sys, 10, self.rng)
 
+    @cached_property
+    def span_c(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The span rows with C and C^2 applied (:func:`c_rows`), formed once
+        for the three C checks."""
+        return c_rows(self.sys, self.span)
+
 
 #: (check name, tolerance name, defect of the run context)
 Row = tuple[str, str, Callable[..., float]]
@@ -206,10 +218,10 @@ def _first_type(partner_tol: str, eigen_tol: str, eigen: Callable[[Run], float])
          lambda r: np.max(np.abs(np.diag(krein_gram(r.sys)) - (-1.0) ** np.arange(r.sys.n)))),
         ("partner", partner_tol, lambda r: partner_check(r.sys, r.settings["tol_krein"])),
         ("classification", "VERDICT_TOL", _classification_gap),
-        ("c_squared", "TOL_C_SQUARED", lambda r: np.max(c_squared_residual(r.sys, r.span))),
+        ("c_squared", "TOL_C_SQUARED", lambda r: np.max(c_squared_residual(r.sys.rule, r.span_c))),
         ("jc_positivity", "VERDICT_TOL",
-         lambda r: 0.0 if np.all(jc_positivity_value(r.sys, r.span) > 0) else 1.0),
-        ("c_metric_consistency", "TOL_SPLIT", lambda r: c_metric_consistency_defect(r.sys, r.span)),
+         lambda r: 0.0 if np.all(jc_positivity_value(r.sys.rule, r.span_c) > 0) else 1.0),
+        ("c_metric_consistency", "TOL_SPLIT", c_metric_consistency_defect),
         ("expansion", "TOL_EXPANSION",
          lambda r: np.max(expansion_residual(r.sys, r.span[:5], r.settings["tol_krein"]))),
         ("gq_resolution", "TOL_GQ", lambda r: gq_basis_defect(r.sys, gaussian_test_function())),

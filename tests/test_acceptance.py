@@ -142,9 +142,10 @@ def test_criterion_07_quasi_basis_resolution_trend(shifted_sys32):
 def test_criterion_08_c_symmetry_suite(shifted_sys, rng):
     sys_, r = shifted_sys, shifted_sys.rule
     coeffs = span_functions(sys_, 10, rng)
-    worst_c2 = max(c_squared_residual(sys_, coeffs))
-    positive = all(jc_positivity_value(sys_, coeffs) > 0)
-    f, cf, _ = g.c_rows(sys_, coeffs)
+    rows = g.c_rows(sys_, coeffs)
+    worst_c2 = max(c_squared_residual(r, rows))
+    positive = all(jc_positivity_value(r, rows) > 0)
+    f, cf, _ = rows
     plus, minus = (f + cf) / 2, (f - cf) / 2
     a, b = slice(0, 3), slice(3, 6)
     v1 = g.krein_rows(r, cf[a], f[b])

@@ -455,8 +455,9 @@ class TestScalingGuard:
         counts.clear()
         assert main(["verify", "shifted-ho", "--n", "16"]) == 0
         assert counts["hermite_function_table"] <= 25
-        # the phi Gram of the C-metric and of weighted orthonormality is formed once
-        assert counts["weighted_gram"] == 2
+        # the phi Gram of the C-metric and of weighted orthonormality is formed
+        # once, and translation's psi Gram is that same Gram, not formed again
+        assert counts["weighted_gram"] == 1
         # the families are sample tables, not per-member representations
         assert counts["apply_exp_q"] == 0 and counts["unit_vector"] == 0
         # each g0 check evaluates its 50 random forms as one batch
@@ -466,8 +467,9 @@ class TestScalingGuard:
         # sample tables: no verify constructs a FunctionRep; the probe's
         # Hermite tables are its member table and, for translation, the two
         # shifted ones (counted as in a fresh process, probe not yet cached),
-        # and the parity verdict samples none
-        for example, tables in (("shifted-ho", 9), ("perturbed-anharmonic", 2)):
+        # and the parity verdict samples none; translation's one weighted
+        # Gram pulls back to one member table
+        for example, tables in (("shifted-ho", 8), ("perturbed-anharmonic", 2)):
             counts.clear()
             gaussian_test_function.cache_clear()
             assert main(["verify", example, "--n", "32"]) == 0

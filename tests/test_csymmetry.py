@@ -184,14 +184,14 @@ class TestOperatorC:
         phi, _, cc_phi = request.getfixturevalue(cfix)
         r = sys_.rule
         assert np.max(r.norm(cc_phi - phi) / r.norm(phi)) <= 1e-8
-        assert np.max(c_squared_residual(sys_, span_functions(sys_, 10, rng))) <= 1e-8
+        assert np.max(c_squared_residual(r, c_rows(sys_, span_functions(sys_, 10, rng)))) <= 1e-8
 
     @pytest.mark.parametrize("fixture,cfix", [("shifted_sys", "shifted_c"), ("perturbed_sys", "perturbed_c")])
     def test_jc_positivity_on_random_span(self, fixture, cfix, rng, request):
         sys_ = request.getfixturevalue(fixture)
         phi, c_phi, _ = request.getfixturevalue(cfix)
         assert np.all(krein_rows(sys_.rule, c_phi, phi).real > 0.0)
-        assert np.all(jc_positivity_value(sys_, span_functions(sys_, 10, rng)) > 0.0)
+        assert np.all(jc_positivity_value(sys_.rule, c_rows(sys_, span_functions(sys_, 10, rng))) > 0.0)
 
     @pytest.mark.parametrize("fixture", ["shifted_sys", "perturbed_sys"])
     def test_tables_match_function_reps(self, fixture, request, rng):
@@ -200,9 +200,9 @@ class TestOperatorC:
         sys_ = request.getfixturevalue(fixture)
         r = sys_.rule
         coeffs = span_functions(sys_, 4, rng)
-        f_rows, cf_rows, ccf_rows = c_rows(sys_, coeffs)
-        c2 = c_squared_residual(sys_, coeffs)
-        jc = jc_positivity_value(sys_, coeffs)
+        f_rows, cf_rows, ccf_rows = rows = c_rows(sys_, coeffs)
+        c2 = c_squared_residual(r, rows)
+        jc = jc_positivity_value(r, rows)
         for i, row in enumerate(coeffs):
             f = span_rep(sys_, row)
             cf = apply_exp_q(sys_.q, 1.0, apply_parity(f), r)
@@ -221,10 +221,10 @@ class TestOperatorC:
 def test_c_properties_on_random_span(which, n, seed, shifted_sys, perturbed_sys):
     sys_ = truncated(shifted_sys if which == "shifted_sys" else perturbed_sys, n)
     coeffs = span_functions(sys_, 2, np.random.default_rng(seed))
-    f, cf, _ = c_rows(sys_, coeffs)
+    f, cf, _ = rows = c_rows(sys_, coeffs)
     plus, minus = (f + cf) / 2, (f - cf) / 2
-    assert np.max(c_squared_residual(sys_, coeffs)) <= 1e-8
-    assert np.all(jc_positivity_value(sys_, coeffs) > 0.0)
+    assert np.max(c_squared_residual(sys_.rule, rows)) <= 1e-8
+    assert np.all(jc_positivity_value(sys_.rule, rows) > 0.0)
     assert abs(krein_rows(sys_.rule, plus[0], minus[1])) <= 1e-8
     assert np.max(np.abs(plus + minus - f)) <= 1e-13
 

@@ -97,6 +97,56 @@ class TestBuild:
         assert biorthogonality_defect(shifted_sys) < 1e-8
 
 
+def pull_back(sys_, which):
+    """The family pulled back by the inverse of its build exponent: the rows
+    of its weighted Gram."""
+    from grslab.grs import _moved_table
+
+    t = 0.5 if which == "phi" else -0.5
+    return _moved_table(sys_.q, sys_.basis, sys_.n, sys_.rule, -t, (t, family_samples(sys_, which)))
+
+
+class TestRealTables:
+    @pytest.mark.parametrize("fixture", ["example1_sys", "perturbed_sys"])
+    def test_multiplication_is_real(self, fixture, request):
+        sys_ = request.getfixturevalue(fixture)
+        for table in (sys_.phi_samples, sys_.psi_samples, pull_back(sys_, "phi"), pull_back(sys_, "psi")):
+            assert table.dtype == np.float64 and table.flags.c_contiguous
+        for gram in (sys_.biorth_gram, sys_.krein_gram, sys_.phi_weighted_gram, weighted_gram(sys_, "psi")):
+            assert gram.dtype == np.float64
+
+    def test_translation_families_stay_complex(self, shifted_sys):
+        assert shifted_sys.phi_samples.dtype == shifted_sys.psi_samples.dtype == np.complex128
+        assert shifted_sys.biorth_gram.dtype == shifted_sys.krein_gram.dtype == np.complex128
+
+    @pytest.mark.parametrize("a", [0.5, -1.3])
+    def test_translation_pull_backs_are_one_table(self, a):
+        # both families move back to shift 0: the same real member table, so
+        # the psi weighted Gram is the phi weighted Gram bit for bit
+        sys_ = build_system(TranslationGenerator(a, cap=2.0), BASIS, 12)
+        phi, psi = pull_back(sys_, "phi"), pull_back(sys_, "psi")
+        assert phi.dtype == np.float64
+        assert np.array_equal(phi, psi)
+        assert np.array_equal(weighted_gram(sys_, "phi"), weighted_gram(sys_, "psi"))
+
+    @pytest.mark.parametrize("fixture", ["shifted_sys", "example1_sys", "perturbed_sys"])
+    def test_real_grams_match_the_complex_product(self, fixture, request):
+        # a real GEMM reorders the sums of the complex one: each entry stays
+        # within 8 eps of the sum of the magnitudes it adds up
+        sys_ = request.getfixturevalue(fixture)
+        w = sys_.rule.dx_weights
+        phi, psi = sys_.phi_samples, sys_.psi_samples
+        cases = [(pull_back(sys_, "phi"), pull_back(sys_, "phi"), sys_.phi_weighted_gram),
+                 (pull_back(sys_, "psi"), pull_back(sys_, "psi"), weighted_gram(sys_, "psi"))]
+        if phi.dtype == np.float64:
+            cases += [(phi, psi, sys_.biorth_gram), (phi[:, ::-1], phi, sys_.krein_gram)]
+        for a, b, got in cases:
+            assert got.dtype == np.float64
+            want = (a.astype(complex) * w) @ b.astype(complex).conj().T
+            kappa = (np.abs(a) * w) @ np.abs(b).T
+            assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * kappa)
+
+
 class TestBiorthogonality:
     def test_zero_generator_exact(self, zero_sys):
         assert biorthogonality_defect(zero_sys) <= 1e-14
@@ -147,7 +197,7 @@ class TestQuasiBasisResolution:
         probe = gaussian_test_function()
         for sys_ in (shifted_sys32, perturbed_sys):
             w = sys_.rule.dx_weights
-            fs = probe @ hermite_function_table(probe.size - 1, sys_.rule.nodes.astype(complex))
+            fs = probe @ hermite_function_table(probe.size - 1, sys_.rule.nodes)
             f_psi, phi_f = np.conj(sys_.psi_samples * w) @ fs, (sys_.phi_samples * w) @ np.conj(fs)
             other = abs(np.sum(w * fs * np.conj(fs)) - np.sum(f_psi * phi_f))
             assert other == gq_basis_defect(sys_, probe)
