@@ -13,14 +13,18 @@ functions.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .defaults import HERMITE_MAX_DEGREE, IM_Z_BOUND
-from .errors import DomainError, MagnitudeError, NumericError, StructureError
+from .errors import DomainError, GrslabError, MagnitudeError, NumericError, StructureError
 
 __all__ = [
     "QuadratureRule",
@@ -240,6 +244,38 @@ def hermite_basis(size: int) -> BasisSet:
     return BasisSet("hermite_analytic", int(size), signs)
 
 
+@functools.cache
+def _flapack():
+    """scipy's compiled LAPACK wrapper, loaded without the ``scipy.linalg``
+    package, whose import (numpy.f2py, numpy.testing and numpy.ma come with
+    it) outweighs the two half-grid solves many times at small N.
+
+    The top-level ``scipy`` package is imported first (on Windows it sets up
+    the search path of the bundled libraries).  A copy loaded here leaves no
+    ``scipy.linalg._flapack`` entry behind without its parent package, so a
+    later ``import scipy.linalg`` loads as usual.
+    """
+    name = "scipy.linalg._flapack"
+    try:
+        import scipy
+    except ImportError as exc:
+        raise GrslabError(f"the anharmonic eigenbasis needs scipy: {exc}") from exc
+    if "scipy.linalg" in sys.modules:
+        return sys.modules[name]
+    folder = Path(scipy.__file__).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_flapack{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise GrslabError(f"scipy {scipy.__version__} ships no LAPACK wrapper in {folder}")
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    module = loader.create_module(importlib.machinery.ModuleSpec(name, loader, origin=str(path)))
+    loader.exec_module(module)
+    sys.modules.pop(name, None)
+    return module
+
+
 def anharmonic_eigenbasis(beta: float, grid: QuadratureRule, k: int) -> BasisSet:
     """Lowest k eigenpairs of -d^2/dx^2 + |x|^beta on a uniform grid.
 
@@ -248,10 +284,14 @@ def anharmonic_eigenbasis(beta: float, grid: QuadratureRule, k: int) -> BasisSet
     the half grid at and right of the center, with the mirror coupling folded
     into the first row, and unfolded by mirroring with their sign: each member
     is a parity eigenvector bit for bit, and strictly increasing energies
-    certify that the two blocks interleave.  Eigenvectors are L2-normalized
-    and sign-fixed so that the first resolvable sample at or left of the grid
-    center is positive.  For beta > 2 the potential is C^1, which is all the
-    second-order stencil needs; |x|^beta is evaluated directly.
+    certify that the two blocks interleave.  Each half grid is solved by
+    LAPACK's dstebz and dstein through the wrapper scipy compiles (see
+    :func:`_flapack`), without importing the ``scipy.linalg`` package.
+    Eigenvectors are L2-normalized and sign-fixed so that the first
+    resolvable sample at or left of the grid center is positive.  For
+    beta > 2 the potential is C^1, which is all the second-order stencil
+    needs; |x|^beta is evaluated directly, and a stencil that overflows is a
+    :class:`DomainError`.
     """
     if not beta > 2:
         raise DomainError(f"anharmonic exponent must exceed 2, got {beta!r}")
@@ -265,28 +305,37 @@ def anharmonic_eigenbasis(beta: float, grid: QuadratureRule, k: int) -> BasisSet
     x = grid.nodes
     h = x[1] - x[0]
     half = points // 2  # samples strictly right of the center
-    coupling = -1.0 / h**2
     # the half grid starts at the center node (odd count) or right of it (even)
-    diag = 2.0 / h**2 + np.abs(x[half:]) ** beta
+    with np.errstate(over="ignore", divide="ignore"):
+        coupling = -1.0 / h**2
+        diag = 2.0 / h**2 + np.abs(x[half:]) ** beta
+    if not np.all(np.isfinite(diag)):
+        raise DomainError(
+            f"the stencil -1/h^2 or |x|^beta overflows at beta={beta!r} on the grid "
+            f"half-width {x[-1]:g} with {points} points"
+        )
     off = np.full(diag.size - 1, coupling)
     if points % 2:  # even members keep the center node; odd ones vanish there
         blocks = ((diag, np.r_[math.sqrt(2.0) * coupling, off[1:]]), (diag[1:], off[1:]))
     else:  # the center pair mirrors each other: fold +-coupling into the first node
         fold = np.r_[coupling, np.zeros(half - 1)]
         blocks = ((diag + fold, off), (diag - fold, off))
-    # imported here so that only this basis, not every CLI call, loads scipy
-    from scipy.linalg import LinAlgError, eigh_tridiagonal
-
+    lapack = _flapack()
     energies = np.empty(k)
     vectors = np.zeros((points, k))
     for first, sign, (d, o) in zip((0, 1), (1.0, -1.0), blocks):
         count = (k + 1 - first) // 2
         if count == 0:
             continue
-        try:
-            energies[first::2], u = eigh_tridiagonal(d, o, select="i", select_range=(0, count - 1))
-        except LinAlgError as exc:
-            raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
+        # the lowest ``count`` by bisection, then their vectors by inverse
+        # iteration: the calls scipy's eigh_tridiagonal makes for an index range
+        m, w, iblock, isplit, info = lapack.dstebz(d, o, 2, 0.0, 1.0, 1, count, 0.0, "B")
+        if info == 0 and m == count:
+            u, info = lapack.dstein(d, o, w[:m], iblock, isplit)
+        if info != 0 or m != count:
+            raise NumericError(f"tridiagonal eigensolver failed (info {info}, {m} of {count})")
+        order = np.argsort(w[:m])
+        energies[first::2], u = w[order], u[:, order]
         right = u[-half:] / math.sqrt(2.0)  # unit l2 over the mirrored pair
         vectors[points - half:, first::2] = right
         vectors[:half, first::2] = sign * right[::-1]

@@ -123,11 +123,15 @@ def c_rows(sys: BiorthogonalSystem, coeffs: np.ndarray) -> tuple[np.ndarray, np.
         )
     if not sys.rule.is_symmetric:
         raise StructureError("parity on sample form needs a symmetric grid")
-    f = coeffs @ sys.phi_samples
     if isinstance(sys.q, Multiplication):
+        # the phi table is real: two real products, never a complex copy of it
+        f = np.empty(coeffs.shape[:-1] + sys.phi_samples.shape[-1:], complex)
+        f.real = coeffs.real @ sys.phi_samples
+        f.imag = coeffs.imag @ sys.phi_samples
         cf = multiply_exp_q(sys.q, 1.0, f[:, ::-1], sys.rule)
         return f, cf, multiply_exp_q(sys.q, 1.0, cf[:, ::-1], sys.rule)
     signs = np.array(sys.basis.parity_signs[: sys.n], dtype=float)
+    f = coeffs @ sys.phi_samples
     return f, (coeffs * signs) @ sys.phi_samples, f
 
 

@@ -217,6 +217,44 @@ class TestAnharmonicEigenbasis:
             col = b.vectors[center::-1, n]
             assert col[np.abs(col) > 1e-8 * np.max(np.abs(b.vectors[:, n]))][0] > 0
 
+    @pytest.mark.parametrize("points", [1999, 2000])
+    @pytest.mark.parametrize("k", [1, 2, 16, 32, "max"])
+    def test_parity_blocks_match_scipy_eigh_tridiagonal_bitwise(self, points, k):
+        # the direct LAPACK calls give scipy's eigh_tridiagonal eigenpairs
+        # bit for bit on both half-grid problems
+        from scipy.linalg import eigh_tridiagonal
+
+        k = points // 4 if k == "max" else k
+        b = anharmonic_eigenbasis(4.0, uniform_trapezoid_rule(8.0, points), k)
+        x = b.grid.nodes
+        h = x[1] - x[0]
+        half = points // 2
+        diag = 2.0 / h**2 + np.abs(x[half:]) ** 4.0
+        off = np.full(diag.size - 1, -1.0 / h**2)
+        if points % 2:
+            blocks = ((diag, np.r_[math.sqrt(2.0) * off[0], off[1:]]), (diag[1:], off[1:]))
+        else:
+            fold = np.r_[off[0], np.zeros(half - 1)]
+            blocks = ((diag + fold, off), (diag - fold, off))
+        for first, (d, o) in enumerate(blocks):
+            count = (k + 1 - first) // 2
+            if count == 0:
+                continue
+            w, u = eigh_tridiagonal(d, o, select="i", select_range=(0, count - 1))
+            assert np.array_equal(b.energies[first::2], w)
+            right = u[-half:] / math.sqrt(2.0) / math.sqrt(h)
+            assert np.array_equal(np.abs(b.vectors[points - half:, first::2]), np.abs(right))
+            if len(u) > half:  # the center node of an odd grid
+                assert np.array_equal(np.abs(b.vectors[half, first::2]), np.abs(u[0] / math.sqrt(h)))
+
+    def test_overflowing_potential_is_a_domain_error_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"beta=4\.0 on the grid half-width 1e\+80"):
+                anharmonic_eigenbasis(4.0, uniform_trapezoid_rule(1e80, 2000), 8)
+            with pytest.raises(DomainError, match="half-width 1e-200"):
+                anharmonic_eigenbasis(4.0, uniform_trapezoid_rule(1e-200, 2000), 8)
+
     def test_validation(self):
         grid = uniform_trapezoid_rule(8.0, 2000)
         with pytest.raises(DomainError):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,15 @@ class TestUsageErrors:
 
     def test_bad_beta_is_usage_error(self):
         assert main(["verify", "perturbed-anharmonic", "--beta", "1.0", "--n", "4"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--grid-l", "1e80"), ("--beta", "1e300")])
+    def test_overflowing_potential_is_usage_error_without_warning(self, flag, value, capsys):
+        # |x|^beta overflowing the stencil is refused before LAPACK sees an inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "perturbed-anharmonic", "--n", "8", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "cannot build perturbed_anharmonic:" in err and "overflows at beta=" in err
 
     @pytest.mark.parametrize(
         "flag, value",
