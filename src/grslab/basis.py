@@ -140,8 +140,8 @@ def _hermite_value(n: int, x: np.ndarray) -> np.ndarray:
 
 def uniform_trapezoid_rule(half_width: float, points: int) -> QuadratureRule:
     """Trapezoid rule on [-L, L] with exactly antisymmetric nodes."""
-    if not half_width > 0:
-        raise DomainError(f"half_width must be positive, got {half_width!r}")
+    if not 0 < half_width < math.inf:
+        raise DomainError(f"half_width must be positive and finite, got {half_width!r}")
     if not isinstance(points, (int, np.integer)) or points < 2:
         raise DomainError(f"need at least 2 points, got {points!r}")
     h = 2.0 * half_width / (points - 1)

@@ -106,6 +106,13 @@ class TestUniformRule:
         with pytest.raises(DomainError):
             uniform_trapezoid_rule(1.0, 1)
 
+    @pytest.mark.parametrize("half_width", [math.inf, math.nan])
+    def test_non_finite_half_width_is_a_domain_error_without_warning(self, half_width):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="positive and finite"):
+                uniform_trapezoid_rule(half_width, 100)
+
 
 class TestHermiteFunctions:
     def test_ground_state_at_zero(self):
