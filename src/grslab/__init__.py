@@ -19,7 +19,6 @@ from .basis import (
     anharmonic_eigenbasis,
     gauss_hermite_rule,
     hermite_basis,
-    hermite_function,
     hermite_function_table,
     uniform_trapezoid_rule,
 )
@@ -29,7 +28,6 @@ from .catalog import (
     make_example,
     overlap_closed_form,
     overlap_matrices,
-    overlap_quadrature,
 )
 from .csymmetry import (
     c_rows,
@@ -59,7 +57,6 @@ from .grs import (
     family_samples,
     g0_quadratic_check,
     gq_basis_defect,
-    truncated,
     weighted_gram,
     weighted_inner,
 )

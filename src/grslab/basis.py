@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,6 @@ __all__ = [
     "BasisSet",
     "gauss_hermite_rule",
     "uniform_trapezoid_rule",
-    "hermite_function",
     "hermite_function_table",
     "hermite_basis",
     "anharmonic_eigenbasis",
@@ -79,7 +79,10 @@ class QuadratureRule:
     def norm(self, values: np.ndarray):
         """L2 norm sqrt(int |f|^2 dx) of a sampled function, or of each row of
         a table of them (dx sense)."""
-        return np.sqrt(np.abs(np.sum(self.dx_weights * np.abs(values) ** 2, axis=-1)))
+        mass = np.abs(values)  # the one (N x P) temporary, squared and weighted in place
+        np.square(mass, out=mass)
+        np.multiply(self.dx_weights, mass, out=mass)
+        return np.sqrt(np.abs(np.sum(mass, axis=-1)))
 
 
 def gauss_hermite_rule(order: int, scale: float = 1.0) -> QuadratureRule:
@@ -91,11 +94,24 @@ def gauss_hermite_rule(order: int, scale: float = 1.0) -> QuadratureRule:
     follow from the nodes in closed form.  A rule of order q integrates
     x^k exp(-scale x^2) exactly for all k <= 2q - 1.  Nodes are
     antisymmetrized so parity is exact.
+
+    A rule depends on nothing but (order, scale), so each valid pair is built
+    once per process and kept in a bounded LRU cache: repeated calls return
+    the same shared, read-only :class:`QuadratureRule`.  The arguments are
+    checked on every call, and an order whose weights leave the double range
+    raises every time (an exception is never cached).
     """
     if not isinstance(order, (int, np.integer)) or not 1 <= order <= 1024:
         raise DomainError(f"order must be an integer in [1, 1024], got {order!r}")
-    if not scale > 0:
+    if not isinstance(scale, numbers.Real) or not scale > 0:
         raise DomainError(f"scale must be positive, got {scale!r}")
+    return _gauss_hermite_rule(int(order), float(scale))
+
+
+#: a rule of order q holds three arrays of q doubles, at most 24 KB at q = 1024
+@functools.lru_cache(maxsize=64)
+def _gauss_hermite_rule(order: int, scale: float) -> QuadratureRule:
+    """:func:`gauss_hermite_rule` for a checked (order, scale) pair."""
     if order == 1:
         x = np.zeros(1)
     else:
@@ -185,11 +201,6 @@ def hermite_function_table(nmax: int, z) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise MagnitudeError("Hermite function recurrence left the representable range")
     return out
-
-
-def hermite_function(n: int, z):
-    """Normalized Hermite function e_n(z); entire, so z may be complex."""
-    return hermite_function_table(n, z)[n][()]
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ __all__ = [
     "ExampleSpec",
     "make_example",
     "overlap_closed_form",
-    "overlap_quadrature",
     "overlap_matrices",
 ]
 
@@ -155,21 +154,6 @@ def _example1_family_on(rule, n_max: int) -> np.ndarray:
     table = hermite_function_table(n_max, rule.nodes)
     weight = np.exp(-rule.nodes**2 / 4.0)
     return table * weight
-
-
-def overlap_quadrature(n: int, m: int, order: int | None = None) -> complex:
-    """[phi_n, phi_m] for example1 by Gauss quadrature with weight scale 3/2.
-
-    Against that weight the integrand is exactly a polynomial of degree
-    n + m, so the rule is exact once its order clears (n + m)/2; this is the
-    independent oracle for :func:`overlap_closed_form`.
-    """
-    if order is None:
-        order = n + m + QUAD_ORDER_PAD // 2
-    rule = gauss_hermite_rule(order, scale=1.5)
-    fam = _example1_family_on(rule, max(n, m))
-    w = rule.dx_weights
-    return complex(np.sum(w * fam[n][::-1] * np.conj(fam[m])))
 
 
 def overlap_matrices(n_max: int, order: int | None = None) -> tuple[np.ndarray, np.ndarray]:

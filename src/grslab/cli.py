@@ -25,7 +25,7 @@ from typing import Callable
 
 from . import defaults as dflt
 from .catalog import DEFAULT_P_SOURCE, ExampleSpec, make_example, overlap_matrices
-from .errors import GrslabError
+from .errors import GrslabError, NumericError
 from .report import VerificationReport, emit_json, write_matrix_csv, write_overlap_csv
 from .suites import run_overlap, run_suite
 
@@ -138,7 +138,12 @@ def _cmd_verify(args) -> int:
     try:
         sys_ = make_example(ExampleSpec(id=example, quad_order=quad_order, **params, **grid))
     except GrslabError as exc:
-        raise UsageError(f"cannot build {example}: {exc}") from exc
+        hint = ""
+        if isinstance(exc, NumericError) and sources.get("quad_order", "").startswith("default"):
+            # the failing rule's order came from N, not from the user
+            hint = (f": it is the default 2N + {dflt.QUAD_ORDER_PAD} at N = {n}, "
+                    "so lower N or set --quad-order")
+        raise UsageError(f"cannot build {example}: {exc}{hint}") from exc
 
     checks = run_suite(example, sys_, resolved, sources)
     settings = {

@@ -84,7 +84,8 @@ def partner_check(sys: BiorthogonalSystem, tol: float = TOL_KREIN) -> float:
     signs = np.array(sign_sequence(sys, tol))
     if not sys.rule.is_symmetric:
         raise StructureError("partner check needs a symmetric working grid")
-    diff = sys.psi_samples - signs[:, np.newaxis] * sys.phi_samples[:, ::-1]
+    diff = signs[:, np.newaxis] * sys.phi_samples[:, ::-1]
+    np.subtract(sys.psi_samples, diff, out=diff)
     return float(np.max(sys.rule.norm(diff) / sys.rule.norm(sys.psi_samples)))
 
 

@@ -9,13 +9,13 @@ A built system is two (N x P) sample tables on one working rule.  Every
 table of moved members exp(tQ) e_k comes from one dispatch over generator
 kinds, :func:`_moved_table`: one Hermite table at the complex-shifted
 argument for translation generators, pointwise exp(tq) multiplies of the
-member table for multiplication symbols.  A table is real exactly when its
-samples are: members on the real nodes and their multiplication moves are
-float64, and only a nonzero translation shift makes a table complex.  The
-quasi-basis probe, a coefficient row over the Hermite functions, is moved
-as one sampled row by the same dispatch, and the build and the probe pass
-one domain-decay gate (:func:`grslab.metric_ops.decay_scores` on the moved
-tables).  The Grams and the defects are matrix expressions over those
+member table for multiplication symbols (a build evaluates that table once
+for both signs).  A table is real exactly when its samples are: members on
+the real nodes and their multiplication moves are float64, and only a
+nonzero translation shift makes a table complex.  The quasi-basis probe,
+a coefficient row over the Hermite functions, is moved as one sampled row
+by the same dispatch, and the build and the probe pass one domain-decay
+gate (:func:`grslab.metric_ops.decay_scores` on the moved tables).  The Grams and the defects are matrix expressions over those
 tables (BLAS products, real ones over two real tables), not loops over
 members or pairs.  Weighted inner products are always evaluated in the
 factored form <exp(sQ/2) f, exp(sQ/2) g>, which halves the dynamic range
@@ -25,7 +25,7 @@ per-function reference that tests compare the tables against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -55,7 +55,6 @@ __all__ = [
     "weighted_inner",
     "weighted_gram",
     "family_samples",
-    "truncated",
 ]
 
 
@@ -66,8 +65,8 @@ class BiorthogonalSystem:
     ``phi_samples`` and ``psi_samples`` are the two families sampled on the
     working rule, one row per member.  Values are immutable after build, so
     the Grams and the parity verdict below are computed once, on first use,
-    and returned read-only; ``dataclasses.replace`` and :func:`truncated`
-    build fresh instances with empty caches.
+    and returned read-only; ``dataclasses.replace`` builds a fresh instance
+    with empty caches.
     """
 
     basis: BasisSet
@@ -211,7 +210,10 @@ def build_system(
     if rule is None:
         rule = working_rule(basis, 2 * n + QUAD_ORDER_PAD if quad_order is None else quad_order)
 
-    tables = [_moved_or_none(q_op, basis, n, rule, t) for t in _EXPONENTS.values()]
+    # a multiplication moves one member table by both signs; a translation
+    # evaluates each sign's table at its own shifted argument
+    family = (0.0, _member_table(basis, n, rule)) if isinstance(q_op, Multiplication) else None
+    tables = [_moved_or_none(q_op, basis, n, rule, t, family) for t in _EXPONENTS.values()]
     min_score = _decay_gate(tables, rule, "basis member {}".format)
     phi, psi = tables
     return BiorthogonalSystem(
@@ -342,17 +344,3 @@ def family_samples(
     if rule is None or rule is sys.rule:
         return np.asarray(sys.phi_samples if which == "phi" else sys.psi_samples)[:m]
     return _moved_table(sys.q, sys.basis, m, rule, t)
-
-
-def truncated(sys: BiorthogonalSystem, m: int) -> BiorthogonalSystem:
-    """The same system restricted to its first m members."""
-    if not 1 <= m <= sys.n:
-        raise DomainError(f"truncation {m} must lie in [1, {sys.n}]")
-    if m == sys.n:
-        return sys
-    return replace(
-        sys,
-        n=int(m),
-        phi_samples=np.array(sys.phi_samples[:m]),
-        psi_samples=np.array(sys.psi_samples[:m]),
-    )

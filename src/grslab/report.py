@@ -134,18 +134,26 @@ def emit_json(report: VerificationReport, path: str) -> None:
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str) -> None:
-    """Dump a complex matrix as rows ``n,m,value_re,value_im``."""
-    m = np.atleast_2d(np.asarray(matrix, dtype=complex))
+    """Dump a matrix as rows ``n,m,value_re,value_im``.
+
+    A real matrix writes the imaginary part 0.0 that its complex cast would
+    carry, without formatting it once per entry."""
+    m = np.asarray(matrix)
+    real = not np.iscomplexobj(m)
+    m = np.atleast_2d(m.astype(float if real else complex, copy=False))
     # byte-identical to csv.writer output: no field needs quoting, lines end
     # in "\r\n"; one write per matrix row keeps the text out of peak memory
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write("n,m,value_re,value_im\r\n")
+            cols = [f",{j}," for j in range(m.shape[1])]
             for i, row in enumerate(m):
-                fh.write("".join([
-                    f"{i},{j},{re!r},{im!r}\r\n"
-                    for j, (re, im) in enumerate(zip(row.real.tolist(), row.imag.tolist()))
-                ]))
+                if real:
+                    lines = [f"{i}{c}{re!r},0.0\r\n" for c, re in zip(cols, row.tolist())]
+                else:
+                    lines = [f"{i}{c}{re!r},{im!r}\r\n"
+                             for c, re, im in zip(cols, row.real.tolist(), row.imag.tolist())]
+                fh.write("".join(lines))
     except OSError as exc:
         raise GrslabError(f"cannot write matrix to {path!r}: {exc}") from exc
 

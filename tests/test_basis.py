@@ -14,11 +14,13 @@ from grslab import (
     anharmonic_eigenbasis,
     gauss_hermite_rule,
     hermite_basis,
-    hermite_function,
     hermite_function_table,
     log_gamma,
     uniform_trapezoid_rule,
 )
+
+from grslab.basis import _gauss_hermite_rule
+from reference import hermite_function
 
 
 def gaussian_moment(k: int, scale: float) -> float:
@@ -89,6 +91,58 @@ class TestGaussHermiteRule:
             gauss_hermite_rule(1025)
         with pytest.raises(DomainError):
             gauss_hermite_rule(10, -1.0)
+
+
+class TestGaussHermiteRuleCache:
+    """Each valid (order, scale) is built once per process."""
+
+    def test_same_shared_read_only_rule(self):
+        r = gauss_hermite_rule(40)
+        assert gauss_hermite_rule(40, 1.0) is r
+        assert gauss_hermite_rule(np.int64(40), np.float64(1.0)) is r
+        assert gauss_hermite_rule(40, 1.5) is not r
+        for a in (r.nodes, r.weights, r.dx_weights):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_cached_rule_equals_a_fresh_build(self):
+        cached = gauss_hermite_rule(72, 1.5)
+        _gauss_hermite_rule.cache_clear()
+        fresh = gauss_hermite_rule(72, 1.5)
+        assert fresh is not cached
+        for name in ("nodes", "weights", "dx_weights"):
+            assert np.array_equal(getattr(fresh, name), getattr(cached, name))
+
+    @pytest.mark.parametrize(
+        "args",
+        [(0,), (1025,), (10.0,), ([10],), (np.array([10]),), (10, -1.0), (10, 0.0),
+         (10, math.nan), (10, [1.0]), (10, np.array([1.0])), (10, "1")],
+    )
+    def test_invalid_arguments_raise_on_every_call(self, args):
+        # checked before the cache: an unhashable argument is a DomainError too
+        before = _gauss_hermite_rule.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                gauss_hermite_rule(*args)
+        assert _gauss_hermite_rule.cache_info().currsize == before
+
+    def test_weight_range_error_is_never_cached(self):
+        _gauss_hermite_rule.cache_clear()
+        for _ in range(3):
+            with pytest.raises(NumericError, match="at order 400"):
+                gauss_hermite_rule(400, 1.0)
+        info = _gauss_hermite_rule.cache_info()
+        assert info.currsize == 0 and info.misses == 3
+
+    def test_cache_is_bounded(self):
+        bound = _gauss_hermite_rule.cache_info().maxsize
+        assert bound is not None and bound <= 256
+        _gauss_hermite_rule.cache_clear()
+        for order in range(1, bound + 6):
+            gauss_hermite_rule(order)
+        assert _gauss_hermite_rule.cache_info().currsize == bound
+        _gauss_hermite_rule.cache_clear()
 
 
 class TestUniformRule:

@@ -10,8 +10,9 @@ from grslab import (
     make_example,
     overlap_closed_form,
     overlap_matrices,
-    overlap_quadrature,
 )
+
+from reference import overlap_quadrature
 
 
 class TestMakeExample:

@@ -232,6 +232,28 @@ class TestDeterminism:
         assert main(["verify", "shifted-ho", "--n", "8", "--json", str(p2)]) == 0
         assert strip_wall_times(read_json(p1)) == strip_wall_times(read_json(p2))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["shifted-ho", "--n", "32"], ["example1", "--n", "16"], ["perturbed-anharmonic", "--n", "32"]],
+        ids=["shifted-ho", "example1", "perturbed-anharmonic"],
+    )
+    def test_process_caches_change_no_report(self, argv, tmp_path):
+        # the Gauss rules, the finite-difference grid and the gq probe are
+        # built once per process: a repeat and a run after clearing them
+        # must report exactly what the first run did
+        from grslab.basis import _gauss_hermite_rule
+        from grslab.suites import _fd_grid, gaussian_test_function
+
+        docs = []
+        for k in range(3):
+            if k == 2:
+                for cached in (_gauss_hermite_rule, _fd_grid, gaussian_test_function):
+                    cached.cache_clear()
+            path = tmp_path / f"r{k}.json"
+            assert main(["verify", *argv, "--json", str(path)]) in (0, 1)
+            docs.append(strip_wall_times(read_json(path)))
+        assert docs[0] == docs[1] == docs[2]
+
 
 class TestUsageErrors:
     def test_unknown_example(self):
@@ -303,6 +325,21 @@ class TestUsageErrors:
         assert not out.exists()
 
 
+class TestOrderFrontier:
+    def test_default_order_error_names_the_knob(self, capsys):
+        # the default order 2N + pad is past the weight range at this N: the
+        # message must say where the order came from and how to set it
+        assert main(["verify", "example1", "--n", "175"]) == 2
+        err = capsys.readouterr().err
+        assert "fell out of the double range" in err
+        assert f"default 2N + {dflt.QUAD_ORDER_PAD} at N = 175" in err and "--quad-order" in err
+
+    def test_explicit_order_error_keeps_the_plain_message(self, capsys):
+        assert main(["verify", "example1", "--n", "175", "--quad-order", "400"]) == 2
+        err = capsys.readouterr().err
+        assert "fell out of the double range at order 400" in err and "--quad-order" not in err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, tmp_path, monkeypatch):
         cfg = tmp_path / "grslab.cfg"
@@ -364,6 +401,18 @@ class TestReportModule:
             for j in range(2):
                 writer.writerow([i, j, repr(float(m[i, j].real)), repr(float(m[i, j].imag))])
         assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+    def test_real_matrix_csv_bytes_match_its_complex_cast(self, tmp_path):
+        # a real Gram skips formatting its zero imaginary parts, yet writes
+        # the bytes of the complex path, signed zeros and non-finite values too
+        m = np.array([[-0.0, 5e-324, np.nan], [np.inf, -np.inf, 1e300], [1.0, 0.0, -2.5]])
+        real, cast = tmp_path / "real.csv", tmp_path / "cast.csv"
+        write_matrix_csv(m, str(real))
+        write_matrix_csv(m.astype(complex), str(cast))
+        assert real.read_bytes() == cast.read_bytes()
+        write_matrix_csv(np.array([[1, -2], [3, 4]]), str(real))  # integers read as floats
+        write_matrix_csv(np.array([[1, -2], [3, 4]], dtype=complex), str(cast))
+        assert real.read_bytes() == cast.read_bytes()
 
     def test_scipy_version_read_from_dist_info(self, tmp_path, monkeypatch):
         import types
@@ -460,6 +509,12 @@ class TestScalingGuard:
             calls[n] = dict(counts)
         assert calls[16].get("weighted_inner", 0) == 0 and calls[32].get("weighted_inner", 0) == 0
         assert calls[32].get("to_samples", 0) <= 2.5 * calls[16].get("to_samples", 0)
+
+        # a multiplication build moves one member table by both signs
+        for n in (16, 32):
+            counts.clear()
+            make_example(ExampleSpec(id="example1", n=n))
+            assert counts["hermite_function_table"] == 1
 
         # no check builds a Hermite table per span function
         counts.clear()

@@ -26,7 +26,6 @@ from grslab import (
     partner_check,
     sign_sequence,
     to_samples,
-    truncated,
     weighted_gram,
     weighted_inner,
 )
@@ -34,6 +33,7 @@ from grslab.csymmetry import c_squared_residual, jc_positivity_value
 from grslab.suites import span_functions
 
 from conftest import member_reps
+from reference import truncated
 
 BASIS = hermite_basis(16)
 

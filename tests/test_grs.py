@@ -19,10 +19,8 @@ from grslab import (
     gq_basis_defect,
     gram_matrix,
     hermite_basis,
-    hermite_function,
     hermite_function_table,
     to_samples,
-    truncated,
     unit_vector,
     weighted_gram,
     weighted_inner,
@@ -30,6 +28,7 @@ from grslab import (
 from grslab.suites import gaussian_test_function
 
 from conftest import member_reps
+from reference import hermite_function, truncated
 
 BASIS = hermite_basis(16)
 

@@ -16,11 +16,12 @@ from grslab import (
     decay_scores,
     gauss_hermite_rule,
     hermite_basis,
-    hermite_function,
     inner,
     to_samples,
     unit_vector,
 )
+
+from reference import hermite_function
 
 BASIS = hermite_basis(12)
 RULE = gauss_hermite_rule(72, 1.0)

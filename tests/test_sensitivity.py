@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from grslab import defaults as dflt
 from grslab.report import run_check
-from grslab.grs import truncated
 from grslab.suites import SUITES, Run, weighted_onb_defect
+from reference import truncated
 
 DELTAS = st.floats(1e-8, 1e-3) | st.floats(-1e-3, -1e-8)
 #: small enough that scaling one phi row keeps its [phi_n, phi_n] within
