@@ -58,27 +58,13 @@ from .grs import (
     g0_quadratic_check,
     gq_basis_defect,
     weighted_gram,
-    weighted_inner,
 )
 from .hamiltonian import DifferentialHamiltonian, eigen_residual, fd_apply, fd_matrix
-from .krein import (
-    CoefficientRep,
-    FunctionRep,
-    SampleRep,
-    apply_parity,
-    evaluate,
-    gram_matrix,
-    inner,
-    krein_inner,
-    to_samples,
-    unit_vector,
-)
 from .metric_ops import (
     MetricOperatorQ,
     Multiplication,
     TranslationGenerator,
     anticommutes_with_parity,
-    apply_exp_q,
     decay_scores,
 )
 from .specfun import Hyp2F1Terminating, hyp2f1_terminating, log_gamma

@@ -6,9 +6,8 @@ Two basis families are supported: analytic Hermite functions
 
 entire in z and therefore evaluable at complex arguments, and the numerically
 computed eigenbasis of the anharmonic oscillator -d^2/dx^2 + |x|^beta on a
-uniform grid.  Quadrature rules carry both their raw weights (which satisfy
-the Gaussian moment identities) and plain-dx weights for integrating sampled
-functions.
+uniform grid.  Quadrature rules carry plain-dx weights for integrating
+sampled functions.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .defaults import HERMITE_MAX_DEGREE, IM_Z_BOUND
+from .defaults import GAUSS_MAX_ORDER, HERMITE_MAX_DEGREE, IM_Z_BOUND
 from .errors import DomainError, GrslabError, MagnitudeError, NumericError, StructureError
 
 __all__ = [
@@ -48,24 +47,21 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class QuadratureRule:
     """Nodes and weights of a one-dimensional quadrature.
 
-    ``weights`` are the native weights of the rule: for ``gauss_hermite`` they
-    integrate f against exp(-scale x^2), for ``uniform_trapezoid`` against dx.
-    ``dx_weights`` always integrate plain sampled functions against dx (for
-    Gauss-Hermite this folds the Gaussian weight back out).
+    ``dx_weights`` integrate plain sampled functions against dx; for
+    ``gauss_hermite`` they fold the Gaussian weight exp(-scale x^2) back
+    out, so ``dx_weights * exp(-scale x^2)`` are the rule's textbook weights.
     """
 
     kind: str
     nodes: NDArray
-    weights: NDArray
     dx_weights: NDArray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", _readonly(self.nodes))
-        object.__setattr__(self, "weights", _readonly(self.weights))
         object.__setattr__(self, "dx_weights", _readonly(self.dx_weights))
         if np.any(np.diff(self.nodes) <= 0):
             raise NumericError("quadrature nodes are not strictly increasing")
-        if np.any(self.weights <= 0) or not np.all(np.isfinite(self.dx_weights)):
+        if not np.all((self.dx_weights > 0) & np.isfinite(self.dx_weights)):
             raise NumericError("quadrature weights are not positive finite")
 
     def __len__(self) -> int:
@@ -98,17 +94,23 @@ def gauss_hermite_rule(order: int, scale: float = 1.0) -> QuadratureRule:
     A rule depends on nothing but (order, scale), so each valid pair is built
     once per process and kept in a bounded LRU cache: repeated calls return
     the same shared, read-only :class:`QuadratureRule`.  The arguments are
-    checked on every call, and an order whose weights leave the double range
-    raises every time (an exception is never cached).
+    checked on every call, and an invalid pair is never cached.
+
+    Orders run up to ``GAUSS_MAX_ORDER``, the last order whose largest node
+    keeps the Hermite recurrence's start pi^{-1/4} exp(-x^2/2) a normal
+    double; the weights come from that recurrence.
     """
-    if not isinstance(order, (int, np.integer)) or not 1 <= order <= 1024:
-        raise DomainError(f"order must be an integer in [1, 1024], got {order!r}")
+    if not isinstance(order, (int, np.integer)) or not 1 <= order <= GAUSS_MAX_ORDER:
+        raise DomainError(
+            f"order must be an integer in [1, {GAUSS_MAX_ORDER}], got {order!r}; past "
+            f"{GAUSS_MAX_ORDER} the Hermite recurrence's start underflows at the largest node"
+        )
     if not isinstance(scale, numbers.Real) or not scale > 0:
         raise DomainError(f"scale must be positive, got {scale!r}")
     return _gauss_hermite_rule(int(order), float(scale))
 
 
-#: a rule of order q holds three arrays of q doubles, at most 24 KB at q = 1024
+#: a rule of order q holds two arrays of q doubles, at most 12 KB at q = 728
 @functools.lru_cache(maxsize=64)
 def _gauss_hermite_rule(order: int, scale: float) -> QuadratureRule:
     """:func:`gauss_hermite_rule` for a checked (order, scale) pair."""
@@ -123,35 +125,10 @@ def _gauss_hermite_rule(order: int, scale: float) -> QuadratureRule:
         x = (x - x[::-1]) / 2.0  # exact antisymmetry
     # The first eigenvector component underflows for large orders, so the
     # weights come from the closed form w_i exp(x_i^2) = 1/(q e_{q-1}(x_i)^2)
-    # instead; the normalized Hermite value is O(1) at every node.  Overflow
-    # past the double range is left to the check below.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        dxw = 1.0 / (order * _hermite_value(order - 1, x) ** 2)
-        w = dxw * np.exp(-x * x)
+    # instead; the normalized Hermite value is O(1) at every node.
+    dxw = 1.0 / (order * _hermite_table(order - 1, x)[-1] ** 2)
     root = math.sqrt(scale)
-    x = x / root
-    w = w / root
-    dxw = dxw / root
-    if np.any(w <= 0) or not np.all(np.isfinite(dxw)):
-        raise NumericError(
-            f"weights fell out of the double range at order {order}; reduce the order"
-        )
-    return QuadratureRule("gauss_hermite", x, w, dxw)
-
-
-def _hermite_value(n: int, x: np.ndarray) -> np.ndarray:
-    """Normalized Hermite function value at real points, degree-uncapped.
-
-    Internal to the rule construction; the public evaluator enforces the
-    configured degree cap.
-    """
-    e_prev = math.pi ** -0.25 * np.exp(-x * x / 2.0)
-    if n == 0:
-        return e_prev
-    e = math.sqrt(2.0) * x * e_prev
-    for k in range(1, n):
-        e, e_prev = x * math.sqrt(2.0 / (k + 1)) * e - math.sqrt(k / (k + 1.0)) * e_prev, e
-    return e
+    return QuadratureRule("gauss_hermite", x / root, dxw / root)
 
 
 def uniform_trapezoid_rule(half_width: float, points: int) -> QuadratureRule:
@@ -164,7 +141,7 @@ def uniform_trapezoid_rule(half_width: float, points: int) -> QuadratureRule:
     x = (np.arange(points) - (points - 1) / 2.0) * h
     w = np.full(points, h)
     w[0] = w[-1] = h / 2.0
-    return QuadratureRule("uniform_trapezoid", x, w, w.copy())
+    return QuadratureRule("uniform_trapezoid", x, w)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +157,9 @@ def hermite_function_table(nmax: int, z) -> np.ndarray:
 
     seeded with e_0 = pi^{-1/4} exp(-z^2/2), which never touches the raw
     factorials and is stable to degree several hundred.  Complex arguments are
-    accepted with |Im z| <= IM_Z_BOUND to keep magnitudes representable.
+    accepted with |Im z| <= IM_Z_BOUND to keep magnitudes representable; a
+    point whose seed is below the normal double range (real part past about
+    37.6) raises :class:`MagnitudeError`.
     """
     if not isinstance(nmax, (int, np.integer)) or nmax < 0:
         raise DomainError(f"nmax must be a nonnegative integer, got {nmax!r}")
@@ -191,9 +170,18 @@ def hermite_function_table(nmax: int, z) -> np.ndarray:
         raise MagnitudeError(
             f"|Im z| = {np.max(np.abs(zz.imag)):.3g} exceeds the bound {IM_Z_BOUND}"
         )
-    zz = zz.astype(complex if np.iscomplexobj(zz) else float)
+    return _hermite_table(nmax, zz.astype(complex if np.iscomplexobj(zz) else float))
+
+
+def _hermite_table(nmax: int, zz: np.ndarray) -> np.ndarray:
+    """The recurrence of :func:`hermite_function_table` at float or complex
+    points, without its argument checks or degree cap.  A start below the
+    normal double range is refused: the recurrence would carry its lost
+    digits (or its zero) into every degree."""
     out = np.empty((nmax + 1,) + zz.shape, dtype=zz.dtype)
     out[0] = math.pi ** -0.25 * np.exp(-zz * zz / 2.0)
+    if np.any(np.abs(out[0]) < np.finfo(float).tiny):
+        raise MagnitudeError("Hermite function recurrence starts below the normal double range")
     if nmax >= 1:
         out[1] = math.sqrt(2.0) * zz * out[0]
     for k in range(1, nmax):

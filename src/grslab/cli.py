@@ -25,7 +25,7 @@ from typing import Callable
 
 from . import defaults as dflt
 from .catalog import DEFAULT_P_SOURCE, ExampleSpec, make_example, overlap_matrices
-from .errors import GrslabError, NumericError
+from .errors import GrslabError
 from .report import VerificationReport, emit_json, write_matrix_csv, write_overlap_csv
 from .suites import run_overlap, run_suite
 
@@ -97,6 +97,16 @@ def _resolve(args, cfg: dict, key: str, default, source: str):
 # commands
 # ---------------------------------------------------------------------------
 
+def _raised_in_build(exc: BaseException) -> bool:
+    """Whether ``exc`` came out of :func:`grslab.grs.build_system`, whose Gauss
+    rule and domain-decay gate depend on the order, rather than from a
+    setting the catalog checks before it (N, a, the basis size)."""
+    tb = exc.__traceback__
+    while tb is not None and tb.tb_frame.f_code.co_name != "build_system":
+        tb = tb.tb_next
+    return tb is not None
+
+
 def _cmd_verify(args) -> int:
     cfg = _load_config()
     example = args.example.replace("-", "_")
@@ -139,10 +149,10 @@ def _cmd_verify(args) -> int:
         sys_ = make_example(ExampleSpec(id=example, quad_order=quad_order, **params, **grid))
     except GrslabError as exc:
         hint = ""
-        if isinstance(exc, NumericError) and sources.get("quad_order", "").startswith("default"):
-            # the failing rule's order came from N, not from the user
-            hint = (f": it is the default 2N + {dflt.QUAD_ORDER_PAD} at N = {n}, "
-                    "so lower N or set --quad-order")
+        if sources.get("quad_order", "").startswith("default") and _raised_in_build(exc):
+            # the order of the failing rule or decay gate came from N, not from the user
+            hint = (f": it is the default 2N + {dflt.QUAD_ORDER_PAD} at N = {n}, so lower N "
+                    f"or set --quad-order (at most {dflt.GAUSS_MAX_ORDER})")
         raise UsageError(f"cannot build {example}: {exc}{hint}") from exc
 
     checks = run_suite(example, sys_, resolved, sources)

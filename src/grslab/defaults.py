@@ -6,7 +6,8 @@ values; change them here, nowhere else.
 """
 
 # --- representation limits -------------------------------------------------
-HERMITE_MAX_DEGREE = 512        # highest Hermite index the recurrences accept
+HERMITE_MAX_DEGREE = 512        # highest Hermite index the public table accepts
+GAUSS_MAX_ORDER = 728           # highest Gauss-Hermite order; exp(-x^2/2) stays normal at its nodes
 IM_Z_BOUND = 4.0                # |Im z| cap for analytic Hermite evaluation
 SHIFT_CAP = 1.0                 # default |a| cap for translation generators
 SHIFT_CAP_MAX = 2.0             # hard cap; conditioning degrades like e^{a^2/2}

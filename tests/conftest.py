@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import grslab as g
+from grslab.krein import unit_vector
+from grslab.metric_ops import apply_exp_q
 
 
 def member_reps(sys_, which):
@@ -9,7 +11,7 @@ def member_reps(sys_, which):
     as its own FunctionRep (coefficients with an argument shift for
     translation, samples on the working rule for multiplication)."""
     t = 0.5 if which == "phi" else -0.5
-    return [g.apply_exp_q(sys_.q, t, g.unit_vector(sys_.basis, k), sys_.rule) for k in range(sys_.n)]
+    return [apply_exp_q(sys_.q, t, unit_vector(sys_.basis, k), sys_.rule) for k in range(sys_.n)]
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,6 @@ import pytest
 from grslab import (
     DomainError,
     MagnitudeError,
-    NumericError,
     StructureError,
     anharmonic_eigenbasis,
     gauss_hermite_rule,
@@ -20,6 +19,7 @@ from grslab import (
 )
 
 from grslab.basis import _gauss_hermite_rule
+from grslab.defaults import GAUSS_MAX_ORDER
 from reference import hermite_function
 
 
@@ -31,30 +31,38 @@ def gaussian_moment(k: int, scale: float) -> float:
     return math.exp(log_gamma((k + 1) / 2.0)) / scale ** ((k + 1) / 2.0)
 
 
+def gauss_weights(r, scale: float = 1.0) -> np.ndarray:
+    """The textbook weights of a Gauss-Hermite rule, which integrate against
+    exp(-scale x^2): the rule's dx weights times that Gaussian."""
+    return r.dx_weights * np.exp(-scale * r.nodes**2)
+
+
 class TestGaussHermiteRule:
     def test_one_point(self):
         r = gauss_hermite_rule(1, 1.0)
         assert r.nodes.tolist() == [0.0]
-        assert r.weights[0] == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+        assert gauss_weights(r)[0] == pytest.approx(math.sqrt(math.pi), rel=1e-15)
 
     def test_total_weight(self):
         r = gauss_hermite_rule(20, 1.0)
-        assert np.sum(r.weights) == pytest.approx(math.sqrt(math.pi), abs=1e-13)
+        assert np.sum(gauss_weights(r)) == pytest.approx(math.sqrt(math.pi), abs=1e-13)
 
     def test_second_moment(self):
         r = gauss_hermite_rule(20, 1.0)
-        assert np.sum(r.weights * r.nodes**2) == pytest.approx(math.sqrt(math.pi) / 2, abs=1e-12)
+        w = gauss_weights(r)
+        assert np.sum(w * r.nodes**2) == pytest.approx(math.sqrt(math.pi) / 2, abs=1e-12)
 
     @pytest.mark.parametrize("order,scale", [(7, 1.0), (20, 1.0), (31, 1.5), (64, 0.5)])
     def test_moments_exact_through_2q_minus_1(self, order, scale):
         r = gauss_hermite_rule(order, scale)
+        w = gauss_weights(r, scale)
         for k in range(0, 2 * order, 2):
-            got = float(np.sum(r.weights * r.nodes**k))
+            got = float(np.sum(w * r.nodes**k))
             want = gaussian_moment(k, scale)
             assert got == pytest.approx(want, rel=1e-12)
         for k in range(1, 2 * order, 2):
-            got = float(np.sum(r.weights * r.nodes**k))
-            scale = float(np.sum(r.weights * np.abs(r.nodes) ** k))
+            got = float(np.sum(w * r.nodes**k))
+            scale = float(np.sum(w * np.abs(r.nodes) ** k))
             assert abs(got) <= 1e-13 * max(scale, 1.0)
 
     def test_norm_of_rows(self):
@@ -68,7 +76,7 @@ class TestGaussHermiteRule:
     def test_structure(self):
         r = gauss_hermite_rule(40, 2.0)
         assert np.all(np.diff(r.nodes) > 0)
-        assert np.all(r.weights > 0)
+        assert np.all(gauss_weights(r, 2.0) > 0)
         assert r.is_symmetric
 
     @pytest.mark.parametrize("order", [2, 3, 40, 72, 296, 388])
@@ -101,7 +109,7 @@ class TestGaussHermiteRuleCache:
         assert gauss_hermite_rule(40, 1.0) is r
         assert gauss_hermite_rule(np.int64(40), np.float64(1.0)) is r
         assert gauss_hermite_rule(40, 1.5) is not r
-        for a in (r.nodes, r.weights, r.dx_weights):
+        for a in (r.nodes, r.dx_weights):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
@@ -111,7 +119,7 @@ class TestGaussHermiteRuleCache:
         _gauss_hermite_rule.cache_clear()
         fresh = gauss_hermite_rule(72, 1.5)
         assert fresh is not cached
-        for name in ("nodes", "weights", "dx_weights"):
+        for name in ("nodes", "dx_weights"):
             assert np.array_equal(getattr(fresh, name), getattr(cached, name))
 
     @pytest.mark.parametrize(
@@ -128,10 +136,11 @@ class TestGaussHermiteRuleCache:
         assert _gauss_hermite_rule.cache_info().currsize == before
 
     def test_weight_range_error_is_never_cached(self):
+        # past the order cap the uncached rule's own recurrence refuses the start
         _gauss_hermite_rule.cache_clear()
         for _ in range(3):
-            with pytest.raises(NumericError, match="at order 400"):
-                gauss_hermite_rule(400, 1.0)
+            with pytest.raises(MagnitudeError, match="below the normal double range"):
+                _gauss_hermite_rule(GAUSS_MAX_ORDER + 1, 1.0)
         info = _gauss_hermite_rule.cache_info()
         assert info.currsize == 0 and info.misses == 3
 
@@ -148,7 +157,7 @@ class TestGaussHermiteRuleCache:
 class TestUniformRule:
     def test_weights_sum_to_length(self):
         r = uniform_trapezoid_rule(5.0, 101)
-        assert np.sum(r.weights) == pytest.approx(10.0, rel=1e-14)
+        assert np.sum(r.dx_weights) == pytest.approx(10.0, rel=1e-14)
 
     def test_exact_antisymmetry(self):
         r = uniform_trapezoid_rule(7.3, 500)
@@ -205,6 +214,13 @@ class TestHermiteFunctions:
     def test_degree_cap(self):
         with pytest.raises(DomainError):
             hermite_function_table(513, 0.0)
+
+    @pytest.mark.parametrize("z", [40.0, 38.0, -38.0, 40.0 + 1.0j])
+    def test_start_below_the_normal_range_is_refused(self, z):
+        # exp(-z^2/2) is subnormal at 38 and 0.0 at 40, where e_512 is 5.3e-56:
+        # the recurrence cannot recover it and must not return a wrong value
+        with pytest.raises(MagnitudeError, match="below the normal double range"):
+            hermite_function_table(512, [0.0, z])
 
 
 @functools.cache
@@ -348,17 +364,44 @@ class TestBasisSet:
 
 
 def test_high_order_weight_underflow_is_loud():
-    # raw weights leave the double range near order 400; the rule refuses
-    # rather than violating its positive-weight contract
-    with pytest.raises(NumericError):
-        gauss_hermite_rule(400, 1.0)
+    # the first order past the frontier is refused, and the refusal names it
+    with pytest.raises(DomainError, match=r"in \[1, 728\], got 729; past 728"):
+        gauss_hermite_rule(729, 1.0)
 
 
 @pytest.mark.parametrize("order", [766, 800, 1024])
 def test_weight_overflow_refuses_without_warning(order):
-    # from order 766 the closed-form quotient overflows; that must reach the
-    # range error, not a RuntimeWarning first
+    # where the closed-form quotient would overflow, the order cap refuses
+    # first: a DomainError, not a RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericError, match="fell out of the double range"):
+        with pytest.raises(DomainError, match=r"in \[1, 728\]"):
             gauss_hermite_rule(order, 1.0)
+
+
+@pytest.mark.parametrize("order", [389, 500, 700, GAUSS_MAX_ORDER])
+def test_orders_past_the_old_weight_limit_build_without_warning(order):
+    # the native weights underflowed from order 389; the dx weights do not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = gauss_hermite_rule(order, 1.0)
+        total = np.sum(gauss_weights(r))
+    assert total == pytest.approx(math.sqrt(math.pi), abs=1e-14)
+
+
+def test_order_cap_is_the_true_frontier():
+    # the recurrence starts at pi^{-1/4} exp(-x^2/2): a normal double at the
+    # largest node of order 728, subnormal at that of order 729
+    def start_at_largest_node(order):
+        off = np.sqrt(np.arange(1, order) / 2.0)
+        x = np.max(np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1)))
+        return math.pi ** -0.25 * math.exp(-x * x / 2.0), x
+
+    tiny = np.finfo(float).tiny
+    start, x = start_at_largest_node(GAUSS_MAX_ORDER)
+    assert start >= tiny
+    assert x == pytest.approx(gauss_hermite_rule(GAUSS_MAX_ORDER).nodes[-1], rel=1e-14)
+    start, x = start_at_largest_node(GAUSS_MAX_ORDER + 1)
+    assert 0 < start < tiny
+    with pytest.raises(MagnitudeError):
+        hermite_function_table(0, [x])

@@ -321,23 +321,52 @@ class TestUsageErrors:
             monkeypatch.setenv("GRSLAB_CONFIG", str(cfg))
         out = tmp_path / "r.json"
         assert main(argv + ["--json", str(out)]) == 2
-        assert "order must be an integer in [1, 1024], got 0" in capsys.readouterr().err
+        assert "order must be an integer in [1, 728], got 0" in capsys.readouterr().err
         assert not out.exists()
 
 
 class TestOrderFrontier:
     def test_default_order_error_names_the_knob(self, capsys):
-        # the default order 2N + pad is past the weight range at this N: the
+        # the default order 2N + pad is past the order frontier at this N: the
         # message must say where the order came from and how to set it
-        assert main(["verify", "example1", "--n", "175"]) == 2
+        assert main(["verify", "example1", "--n", "345"]) == 2
         err = capsys.readouterr().err
-        assert "fell out of the double range" in err
-        assert f"default 2N + {dflt.QUAD_ORDER_PAD} at N = 175" in err and "--quad-order" in err
+        assert "order must be an integer in [1, 728], got 730" in err
+        assert f"default 2N + {dflt.QUAD_ORDER_PAD} at N = 345" in err and "--quad-order" in err
 
     def test_explicit_order_error_keeps_the_plain_message(self, capsys):
-        assert main(["verify", "example1", "--n", "175", "--quad-order", "400"]) == 2
+        assert main(["verify", "example1", "--n", "175", "--quad-order", "729"]) == 2
         err = capsys.readouterr().err
-        assert "fell out of the double range at order 400" in err and "--quad-order" not in err
+        assert "order must be an integer in [1, 728], got 729" in err and "--quad-order" not in err
+
+    def test_frontier_past_the_basis_cap_names_the_knob(self, capsys):
+        # an order refusal, not the degree cap, at the largest N the basis takes
+        assert main(["verify", "shifted-ho", "--n", "513"]) == 2
+        err = capsys.readouterr().err
+        assert "got 1066" in err and "at N = 513" in err and "--quad-order" in err
+
+    def test_decay_gate_refusal_at_the_default_order_names_the_knob(self, capsys):
+        # the default order 540 does not resolve member 248; order 700 does
+        assert main(["verify", "example1", "--n", "250"]) == 2
+        err = capsys.readouterr().err
+        assert "basis member 248" in err and "mass escapes the window" in err
+        assert f"default 2N + {dflt.QUAD_ORDER_PAD} at N = 250" in err and "--quad-order" in err
+        assert main(["verify", "example1", "--n", "250", "--quad-order", "700"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "example1", "--n", "0"],
+         ["verify", "shifted-ho", "--n", "16", "--a", "1.5"],
+         ["verify", "perturbed-anharmonic", "--n", "8", "--p", "(scale 400 (tanh x))"]],
+        ids=["n-zero", "shift-cap", "perturbed-decay-gate"],
+    )
+    def test_refusal_the_order_cannot_fix_has_no_hint(self, argv, capsys):
+        assert main(argv) == 2
+        assert "--quad-order" not in capsys.readouterr().err
+
+    def test_first_order_past_the_old_weight_limit_passes(self):
+        # the default order 2N + pad = 390 refused at the old weight limit
+        assert main(["verify", "example1", "--n", "175"]) == 0
 
 
 class TestConfigFile:

@@ -7,28 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grslab import (
-    CoefficientRep,
     Multiplication,
     NotJOrthonormalError,
-    SampleRep,
     StructureError,
-    apply_exp_q,
-    apply_parity,
     build_system,
     c_rows,
     classify_type,
     expansion_residual,
     hermite_basis,
-    inner,
     j_orthonormality_defect,
     krein_gram,
     krein_rows,
     partner_check,
     sign_sequence,
-    to_samples,
     weighted_gram,
-    weighted_inner,
 )
+from grslab.grs import weighted_inner
+from grslab.krein import CoefficientRep, SampleRep, apply_parity, inner, to_samples
+from grslab.metric_ops import apply_exp_q
 from grslab.csymmetry import c_squared_residual, jc_positivity_value
 from grslab.suites import span_functions
 

@@ -4,27 +4,23 @@ import numpy as np
 import pytest
 
 from grslab import (
-    CoefficientRep,
-    apply_exp_q,
     DomainError,
     Multiplication,
     StructureError,
     TranslationGenerator,
     biorthogonality_defect,
     build_system,
-    evaluate,
     family_samples,
     g0_quadratic_check,
     gauss_hermite_rule,
     gq_basis_defect,
-    gram_matrix,
     hermite_basis,
     hermite_function_table,
-    to_samples,
-    unit_vector,
     weighted_gram,
-    weighted_inner,
 )
+from grslab.grs import weighted_inner
+from grslab.krein import CoefficientRep, evaluate, gram_matrix, to_samples, unit_vector
+from grslab.metric_ops import apply_exp_q
 from grslab.suites import gaussian_test_function
 
 from conftest import member_reps
@@ -305,7 +301,7 @@ class TestWeightedInner:
         # the sampled functions bit for bit
         f = CoefficientRep(BASIS, np.array([0.5, 0.25j, -1.0]))
         g = CoefficientRep(BASIS, np.array([1.0, 1.0, 1.0]))
-        from grslab import inner
+        from grslab.krein import inner
 
         rule = zero_sys.rule
         plain = inner(to_samples(f, rule), to_samples(g, rule))
@@ -321,7 +317,7 @@ class TestWeightedInner:
 class TestRoundTrip:
     @pytest.mark.parametrize("fixture", ["shifted_sys", "example1_sys", "perturbed_sys"])
     def test_reconstruct_basis(self, fixture, request):
-        from grslab import apply_exp_q
+        from grslab.metric_ops import apply_exp_q
 
         sys_ = request.getfixturevalue(fixture)
         table = sys_.basis.table(sys_.rule)

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grslab import (
+from grslab import StructureError, gauss_hermite_rule, hermite_basis
+from grslab.krein import (
     CoefficientRep,
     SampleRep,
-    StructureError,
     apply_parity,
-    gauss_hermite_rule,
     gram_matrix,
-    hermite_basis,
     inner,
     krein_inner,
     to_samples,
@@ -56,7 +54,7 @@ class TestFundamentalSymmetry:
     def test_asymmetric_grid_rejected(self):
         nodes = np.array([-1.0, 0.0, 2.0])
         w = np.array([1.0, 1.0, 1.0])
-        rule = type(RULE)("uniform_trapezoid", nodes, w, w)
+        rule = type(RULE)("uniform_trapezoid", nodes, w)
         s = SampleRep(rule, np.array([1.0, 2.0, 3.0]))
         with pytest.raises(StructureError):
             apply_parity(s)
@@ -183,7 +181,7 @@ class TestGram:
 
 class TestRepresentations:
     def test_evaluate_matches_sampling(self):
-        from grslab import evaluate
+        from grslab.krein import evaluate
 
         f = CoefficientRep(BASIS, np.array([0.5, -0.25j, 1.0]), shift=0.25j)
         got = evaluate(f, RULE.nodes)
@@ -199,14 +197,14 @@ class TestNumericBasisReps:
         assert np.array_equal(s.samples, basis.vectors[:, 2].astype(complex))
 
     def test_numeric_rep_not_evaluable_off_grid(self, perturbed_sys):
-        from grslab import evaluate
+        from grslab.krein import evaluate
 
         f = unit_vector(perturbed_sys.basis, 0)
         with pytest.raises(StructureError):
             evaluate(f, 0.5)
 
     def test_sample_rep_not_evaluable(self):
-        from grslab import evaluate
+        from grslab.krein import evaluate
 
         s = to_samples(unit_vector(BASIS, 0), RULE)
         with pytest.raises(StructureError):

@@ -4,22 +4,18 @@ import numpy as np
 import pytest
 
 from grslab import (
-    CoefficientRep,
     DomainError,
     MagnitudeError,
     Multiplication,
     StructureError,
     TranslationGenerator,
     anticommutes_with_parity,
-    apply_exp_q,
-    apply_parity,
     decay_scores,
     gauss_hermite_rule,
     hermite_basis,
-    inner,
-    to_samples,
-    unit_vector,
 )
+from grslab.krein import CoefficientRep, apply_parity, inner, to_samples, unit_vector
+from grslab.metric_ops import apply_exp_q
 
 from reference import hermite_function
 
