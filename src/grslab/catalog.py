@@ -23,6 +23,7 @@ exactly a polynomial times the weight) pins the reading.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ import numpy as np
 
 from . import symfun
 from .basis import (
+    BasisSet,
     anharmonic_eigenbasis,
     gauss_hermite_rule,
     hermite_basis,
@@ -109,9 +111,20 @@ def make_example(spec: ExampleSpec) -> BiorthogonalSystem:
     p_expr = symfun.parse(spec.p)
     if not symfun.is_odd_on(p_expr, grid.nodes, TOL_ODDNESS):
         raise DomainError(f"the symbol p = {spec.p!r} is not odd; the construction needs J p = -p J")
-    basis = anharmonic_eigenbasis(spec.beta, grid, spec.n)
+    n = int(spec.n) if isinstance(spec.n, (int, np.integer)) else spec.n
+    basis = _anharmonic_basis(float(spec.beta), float(grid_l), int(points), n)
     q_op = Multiplication(f"(scale 2 {spec.p})")
-    return build_system(q_op, basis, spec.n, rule=grid)
+    return build_system(q_op, basis, n, rule=basis.grid)
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _anharmonic_basis(beta: float, grid_l: float, points: int, n: int) -> BasisSet:
+    """The eigenbasis of one checked (beta, grid, n), solved once per process
+    and shared read-only.  An entry holds points x n doubles plus n energies:
+    1 MB at the default 2000 points and n = 64, 8 MB at the cap n = points/4.
+    A refusal propagates and is never cached; ``typed`` keeps a float n off
+    the entry of the equal int, so the solver refuses it."""
+    return anharmonic_eigenbasis(beta, uniform_trapezoid_rule(grid_l, points), n)
 
 
 # ---------------------------------------------------------------------------

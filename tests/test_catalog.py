@@ -6,6 +6,7 @@ import pytest
 from grslab import (
     DomainError,
     ExampleSpec,
+    catalog,
     classify_type,
     make_example,
     overlap_closed_form,
@@ -46,6 +47,72 @@ class TestMakeExample:
         b = make_example(spec)
         assert np.array_equal(a.phi_samples, b.phi_samples)
         assert np.array_equal(a.psi_samples, b.psi_samples)
+
+
+PERTURBED = dict(id="perturbed_anharmonic", beta=4.0, n=8)
+
+
+@pytest.fixture()
+def solves(monkeypatch):
+    """The eigen-solves that reach ``anharmonic_eigenbasis``, from an empty
+    eigenbasis cache."""
+    calls = []
+    real = catalog.anharmonic_eigenbasis
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(catalog, "anharmonic_eigenbasis", counted)
+    catalog._anharmonic_basis.cache_clear()
+    yield calls
+    catalog._anharmonic_basis.cache_clear()
+
+
+class TestAnharmonicBasisCache:
+    def test_one_solve_one_shared_read_only_basis(self, solves):
+        a = make_example(ExampleSpec(**PERTURBED))
+        b = make_example(ExampleSpec(**PERTURBED))
+        assert len(solves) == 1
+        assert a.basis is b.basis and a.rule is a.basis.grid
+        for arr in (a.basis.vectors, a.basis.energies, a.basis.grid.nodes):
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize(
+        "change", [{"beta": 3.0}, {"grid_l": 7.0}, {"grid_points": 1999}, {"n": 9}],
+        ids=["beta", "grid_l", "grid_points", "n"],
+    )
+    def test_each_key_field_is_its_own_entry(self, solves, change):
+        base = make_example(ExampleSpec(**PERTURBED))
+        other = make_example(ExampleSpec(**{**PERTURBED, **change}))
+        assert len(solves) == 2 and other.basis is not base.basis
+        assert make_example(ExampleSpec(**{**PERTURBED, **change})).basis is other.basis
+        assert len(solves) == 2 and catalog._anharmonic_basis.cache_info().currsize == 2
+
+    def test_int_spelling_shares_the_float_entry(self, solves):
+        a = make_example(ExampleSpec(**PERTURBED, grid_l=8.0))
+        b = make_example(ExampleSpec(**{**PERTURBED, "beta": 4}, grid_l=8))
+        assert len(solves) == 1 and b.basis is a.basis
+        assert np.array_equal(a.phi_samples, b.phi_samples)
+        assert np.array_equal(a.psi_samples, b.psi_samples)
+
+    def test_even_symbol_is_refused_before_any_solve(self, solves):
+        with pytest.raises(DomainError, match="not odd"):
+            make_example(ExampleSpec(**PERTURBED, p="(gauss 1)"))
+        assert solves == []
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [({"n": 600}, "points/4"), ({"grid_l": 1e80}, "overflows"), ({"n": 8.0}, "points/4")],
+        ids=["n-past-cap", "overflowing-stencil", "float-n"],
+    )
+    def test_refusals_are_never_cached(self, solves, change, match):
+        make_example(ExampleSpec(**PERTURBED))  # the int entry n = 8
+        for attempt in (1, 2):
+            with pytest.raises(DomainError, match=match):
+                make_example(ExampleSpec(**{**PERTURBED, **change}))
+            assert len(solves) == 1 + attempt
+            assert catalog._anharmonic_basis.cache_info().currsize == 1
 
 
 class TestOverlapClosedForm:

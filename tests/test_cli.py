@@ -238,16 +238,18 @@ class TestDeterminism:
         ids=["shifted-ho", "example1", "perturbed-anharmonic"],
     )
     def test_process_caches_change_no_report(self, argv, tmp_path):
-        # the Gauss rules, the finite-difference grid and the gq probe are
-        # built once per process: a repeat and a run after clearing them
-        # must report exactly what the first run did
+        # the Gauss rules, the anharmonic eigenbasis, the finite-difference
+        # grid and the gq probe are built once per process: a repeat and a
+        # run after clearing them must report exactly what the first run did
         from grslab.basis import _gauss_hermite_rule
+        from grslab.catalog import _anharmonic_basis
         from grslab.suites import _fd_grid, gaussian_test_function
 
         docs = []
         for k in range(3):
             if k == 2:
-                for cached in (_gauss_hermite_rule, _fd_grid, gaussian_test_function):
+                caches = (_gauss_hermite_rule, _anharmonic_basis, _fd_grid, gaussian_test_function)
+                for cached in caches:
                     cached.cache_clear()
             path = tmp_path / f"r{k}.json"
             assert main(["verify", *argv, "--json", str(path)]) in (0, 1)
