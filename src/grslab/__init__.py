@@ -46,7 +46,6 @@ from .errors import (
     MagnitudeError,
     NotJOrthonormalError,
     NumericError,
-    PoleError,
     ResolutionError,
     StructureError,
 )
@@ -67,6 +66,5 @@ from .metric_ops import (
     anticommutes_with_parity,
     decay_scores,
 )
-from .specfun import Hyp2F1Terminating, hyp2f1_terminating, log_gamma
 
 __version__ = "0.1.0"

@@ -14,10 +14,6 @@ class DomainError(GrslabError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class PoleError(GrslabError):
-    """A Pochhammer factor hit zero with a nonzero numerator in a terminating series."""
-
-
 class MagnitudeError(GrslabError):
     """An intermediate or final value left the representable floating-point range.
 

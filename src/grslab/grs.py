@@ -196,7 +196,6 @@ def build_system(
     q_op: MetricOperatorQ,
     basis: BasisSet,
     n: int,
-    rule: QuadratureRule | None = None,
     quad_order: int | None = None,
 ) -> BiorthogonalSystem:
     """Materialize both families and record their quality numbers.
@@ -207,8 +206,7 @@ def build_system(
     """
     if not 1 <= n <= basis.size:
         raise DomainError(f"truncation {n} must lie in [1, basis size {basis.size}]")
-    if rule is None:
-        rule = working_rule(basis, 2 * n + QUAD_ORDER_PAD if quad_order is None else quad_order)
+    rule = working_rule(basis, 2 * n + QUAD_ORDER_PAD if quad_order is None else quad_order)
 
     # a multiplication moves one member table by both signs; a translation
     # evaluates each sign's table at its own shifted argument

@@ -15,7 +15,7 @@ powers the factored inner products and partner constructions ever use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -51,11 +51,10 @@ class Multiplication:
     """Q = multiplication by the real symbol q(x)."""
 
     source: str
-    expr: tuple = None  # parsed form; filled from source when omitted
+    expr: tuple = field(init=False)  # parsed from source
 
     def __post_init__(self) -> None:
-        if self.expr is None:
-            object.__setattr__(self, "expr", symfun.parse(self.source))
+        object.__setattr__(self, "expr", symfun.parse(self.source))
 
     def values(self, x: np.ndarray) -> np.ndarray:
         return symfun.eval_values(self.expr, x)

@@ -14,7 +14,6 @@ from grslab import (
     gauss_hermite_rule,
     hermite_basis,
     hermite_function_table,
-    log_gamma,
     uniform_trapezoid_rule,
 )
 
@@ -28,7 +27,7 @@ def gaussian_moment(k: int, scale: float) -> float:
     Gamma((k+1)/2) / scale^{(k+1)/2}."""
     if k % 2 == 1:
         return 0.0
-    return math.exp(log_gamma((k + 1) / 2.0)) / scale ** ((k + 1) / 2.0)
+    return math.exp(math.lgamma((k + 1) / 2.0)) / scale ** ((k + 1) / 2.0)
 
 
 def gauss_weights(r, scale: float = 1.0) -> np.ndarray:

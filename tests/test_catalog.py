@@ -138,6 +138,24 @@ class TestOverlapClosedForm:
         for n, m in ((0, 2), (1, 3), (2, 4), (3, 5)):
             assert overlap_closed_form(n, m) == pytest.approx(overlap_closed_form(m, n), rel=1e-12)
 
+    def test_matches_mpmath_oracle_through_30(self):
+        # the same closed formula at 40 digits: prefactor, Gamma factor and
+        # series, at exactly the (m, -n, (1-m-n)/2, 3/2) the overlap sums
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for n in range(31):
+                for m in range(31):
+                    got = overlap_closed_form(n, m)
+                    if (n + m) % 2 == 1:
+                        assert got == 0.0, (n, m)
+                        continue
+                    s = n + m + 1
+                    pre = mpmath.sqrt(mpmath.mpf(2) ** s / (mpmath.mpf(3) ** s * mpmath.pi
+                                                           * mpmath.factorial(n) * mpmath.factorial(m)))
+                    series = mpmath.hyp2f1(-m, -n, mpmath.mpf(1 - m - n) / 2, mpmath.mpf(3) / 2)
+                    oracle = pre * mpmath.gamma(mpmath.mpf(s) / 2) * abs(series)
+                    assert abs(got - oracle) <= 1e-9 * oracle, (n, m)
+
     def test_index_cap(self):
         with pytest.raises(DomainError):
             overlap_closed_form(31, 1)

@@ -87,6 +87,17 @@ class TestBuild:
             rows = np.vstack([to_samples(m, sys_.rule).samples for m in member_reps(sys_, which)])
             assert np.array_equal(table, rows)
 
+    @pytest.mark.parametrize("fixture", ["shifted_sys", "example1_sys", "perturbed_sys"])
+    def test_krein_gram_matches_pairwise(self, fixture, request):
+        # shifted coefficient reps have no coefficient-space product, so every
+        # member is sampled first; each entry is a sum of products, so it is
+        # compared within a few roundings of the sum of their magnitudes
+        sys_ = request.getfixturevalue(fixture)
+        ref = gram_matrix([to_samples(m, sys_.rule) for m in member_reps(sys_, "phi")], "krein")
+        phi, w = np.abs(sys_.phi_samples), sys_.rule.dx_weights
+        kappa = (phi[:, ::-1] * w) @ phi.T
+        assert np.all(np.abs(sys_.krein_gram - ref) <= 8 * np.finfo(float).eps * kappa)
+
     def test_build_records_quality(self, shifted_sys):
         assert shifted_sys.min_decay_score >= 0.9
         assert biorthogonality_defect(shifted_sys) < 1e-8
