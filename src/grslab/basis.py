@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,8 +47,8 @@ class QuadratureRule:
     """Nodes and weights of a one-dimensional quadrature.
 
     ``dx_weights`` integrate plain sampled functions against dx; for
-    ``gauss_hermite`` they fold the Gaussian weight exp(-scale x^2) back
-    out, so ``dx_weights * exp(-scale x^2)`` are the rule's textbook weights.
+    ``gauss_hermite`` they fold the Gaussian weight exp(-x^2) back out, so
+    ``dx_weights * exp(-x^2)`` are the rule's textbook weights.
     """
 
     kind: str
@@ -81,20 +80,20 @@ class QuadratureRule:
         return np.sqrt(np.abs(np.sum(mass, axis=-1)))
 
 
-def gauss_hermite_rule(order: int, scale: float = 1.0) -> QuadratureRule:
-    """Gauss-Hermite rule for the weight exp(-scale x^2).
+def gauss_hermite_rule(order: int) -> QuadratureRule:
+    """Gauss-Hermite rule for the weight exp(-x^2).
 
     The nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix
     of the Hermite polynomials (zero diagonal, off-diagonal sqrt(k/2)),
     computed by ``numpy.linalg.eigvalsh`` on the dense matrix; the weights
     follow from the nodes in closed form.  A rule of order q integrates
-    x^k exp(-scale x^2) exactly for all k <= 2q - 1.  Nodes are
+    x^k exp(-x^2) exactly for all k <= 2q - 1.  Nodes are
     antisymmetrized so parity is exact.
 
-    A rule depends on nothing but (order, scale), so each valid pair is built
+    A rule depends on nothing but its order, so each valid order is built
     once per process and kept in a bounded LRU cache: repeated calls return
-    the same shared, read-only :class:`QuadratureRule`.  The arguments are
-    checked on every call, and an invalid pair is never cached.
+    the same shared, read-only :class:`QuadratureRule`.  The order is
+    checked on every call, and an invalid one is never cached.
 
     Orders run up to ``GAUSS_MAX_ORDER``, the last order whose largest node
     keeps the Hermite recurrence's start pi^{-1/4} exp(-x^2/2) a normal
@@ -105,15 +104,13 @@ def gauss_hermite_rule(order: int, scale: float = 1.0) -> QuadratureRule:
             f"order must be an integer in [1, {GAUSS_MAX_ORDER}], got {order!r}; past "
             f"{GAUSS_MAX_ORDER} the Hermite recurrence's start underflows at the largest node"
         )
-    if not isinstance(scale, numbers.Real) or not scale > 0:
-        raise DomainError(f"scale must be positive, got {scale!r}")
-    return _gauss_hermite_rule(int(order), float(scale))
+    return _gauss_hermite_rule(int(order))
 
 
 #: a rule of order q holds two arrays of q doubles, at most 12 KB at q = 728
 @functools.lru_cache(maxsize=64)
-def _gauss_hermite_rule(order: int, scale: float) -> QuadratureRule:
-    """:func:`gauss_hermite_rule` for a checked (order, scale) pair."""
+def _gauss_hermite_rule(order: int) -> QuadratureRule:
+    """:func:`gauss_hermite_rule` for a checked order."""
     if order == 1:
         x = np.zeros(1)
     else:
@@ -127,8 +124,7 @@ def _gauss_hermite_rule(order: int, scale: float) -> QuadratureRule:
     # weights come from the closed form w_i exp(x_i^2) = 1/(q e_{q-1}(x_i)^2)
     # instead; the normalized Hermite value is O(1) at every node.
     dxw = 1.0 / (order * _hermite_table(order - 1, x)[-1] ** 2)
-    root = math.sqrt(scale)
-    return QuadratureRule("gauss_hermite", x / root, dxw / root)
+    return QuadratureRule("gauss_hermite", x, dxw)
 
 
 def uniform_trapezoid_rule(half_width: float, points: int) -> QuadratureRule:

@@ -16,9 +16,8 @@ Three constructions are cataloged:
 The closed form for |[phi_n, phi_m]| in the third system multiplies a
 radical prefactor (the radical covers only the rational part), a Gamma
 factor and a terminating Gauss series; it is evaluated in log space so the
-n + m ~ 60 range stays representable.  An independent quadrature oracle on a
-Gauss rule scaled to the integrand's Gaussian (where the integrand is
-exactly a polynomial times the weight) pins the reading.
+n + m ~ 60 range stays representable.  ``overlap_matrices`` sets it beside
+the Krein Gram of the example1 system that ``verify example1`` builds.
 """
 
 from __future__ import annotations
@@ -33,12 +32,10 @@ from . import symfun
 from .basis import (
     BasisSet,
     anharmonic_eigenbasis,
-    gauss_hermite_rule,
     hermite_basis,
-    hermite_function_table,
     uniform_trapezoid_rule,
 )
-from .defaults import DEFAULT_N, QUAD_ORDER_PAD, TOL_ODDNESS
+from .defaults import DEFAULT_N, TOL_ODDNESS
 from .errors import DomainError, MagnitudeError
 from .grs import BiorthogonalSystem, build_system
 from .metric_ops import Multiplication, TranslationGenerator
@@ -142,7 +139,7 @@ def overlap_closed_form(n: int, m: int) -> float:
     is -n: with both upper parameters nonpositive integers the series
     terminates at min(n, m) and the half-integer lower parameter never hits a
     pole; this reading (and the radical covering only the rational factor)
-    is pinned against the quadrature oracle, see ``overlap_matrices``.  The
+    is pinned against example1's Krein Gram, see ``overlap_matrices``.  The
     test ``test_matches_mpmath_oracle_through_30`` in tests/test_catalog.py
     holds every entry to the same formula at 40 digits (mpmath).
     """
@@ -177,23 +174,16 @@ def _hyp2f1_terminating(m: int, b: float, c: float, z: float) -> float:
     return total
 
 
-def _example1_family_on(rule, n_max: int) -> np.ndarray:
-    """Rows phi_0..phi_nmax of the example1 family sampled on ``rule``."""
-    table = hermite_function_table(n_max, rule.nodes)
-    weight = np.exp(-rule.nodes**2 / 4.0)
-    return table * weight
+def overlap_matrices(n_max: int, quad_order: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(closed-form matrix, Krein Gram) for 0 <= n, m <= n_max.
 
-
-def overlap_matrices(n_max: int, order: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(closed-form matrix, quadrature matrix) for 0 <= n, m <= n_max."""
+    The Gram is that of the example1 system at N = n_max + 1 on its working
+    rule of order ``quad_order`` (default 2N + QUAD_ORDER_PAD), the system
+    ``verify example1`` builds.
+    """
     if not isinstance(n_max, (int, np.integer)) or not 0 <= n_max <= 30:
         raise DomainError(f"n_max must be an integer in [0, 30], got {n_max!r}")
-    if order is None:
-        order = 2 * n_max + QUAD_ORDER_PAD // 2
-    rule = gauss_hermite_rule(order, scale=1.5)
-    fam = _example1_family_on(rule, n_max)
-    w = rule.dx_weights
-    quad = (fam[:, ::-1] * w) @ np.conj(fam.T)
+    quad = make_example(ExampleSpec(id="example1", n=n_max + 1, quad_order=quad_order)).krein_gram
     closed = np.array(
         [[overlap_closed_form(n, m) for m in range(n_max + 1)] for n in range(n_max + 1)]
     )

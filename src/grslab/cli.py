@@ -260,9 +260,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="classification verdict that counts as success",
     )
 
-    overlap = sub.add_parser("overlap", help="closed-form vs quadrature indefinite overlaps")
+    overlap = sub.add_parser("overlap", help="closed-form vs example1 Krein Gram indefinite overlaps")
     overlap.add_argument("--n-max", type=int, dest="n_max", help="largest index compared")
-    overlap.add_argument("--quad-order", type=int, dest="quad_order", help="Gauss rule order")
+    overlap.add_argument(
+        "--quad-order", type=int, dest="quad_order",
+        help=f"order of example1's working Gauss rule at N = n_max + 1 (default 2N + {dflt.QUAD_ORDER_PAD})",
+    )
     overlap.add_argument("--json", type=str, help="write the JSON report here")
     overlap.add_argument("--csv", type=str, help="write the comparison table here")
     return parser

@@ -88,7 +88,7 @@ def working_rule(basis: BasisSet, order: int | None = None) -> QuadratureRule:
     if basis.is_analytic:
         if order is None:
             order = 2 * basis.size + QUAD_ORDER_PAD
-        return gauss_hermite_rule(order, 1.0)
+        return gauss_hermite_rule(order)
     return basis.grid
 
 

@@ -68,7 +68,7 @@ def gaussian_test_function() -> np.ndarray:
     function exactly unit in the Hilbert norm.
     """
     size = dflt.GQ_TEST_BASIS
-    rule = gauss_hermite_rule(2 * size + dflt.QUAD_ORDER_PAD, 1.0)
+    rule = gauss_hermite_rule(2 * size + dflt.QUAD_ORDER_PAD)
     table = hermite_function_table(size - 1, rule.nodes)
     coeffs = (table * rule.dx_weights) @ np.exp(-rule.nodes**2)
     coeffs /= np.linalg.norm(coeffs)
@@ -268,8 +268,8 @@ def overlap_abs_odd(closed: np.ndarray, quad: np.ndarray) -> float:
     return float(np.max(np.abs(quad[~_even_index_sum(closed)]), initial=0.0))
 
 
-#: closed-form vs quadrature indefinite overlaps; the run context is the
-#: pair (closed, quad) of :func:`grslab.catalog.overlap_matrices`
+#: closed-form indefinite overlaps vs example1's Krein Gram; the run context
+#: is the pair (closed, quad) of :func:`grslab.catalog.overlap_matrices`
 OVERLAP: tuple[Row, ...] = (
     ("overlap_rel_even", "TOL_OVERLAP_REL", lambda cq: overlap_rel_even(*cq)),
     ("overlap_abs_odd", "TOL_OVERLAP_ODD", lambda cq: overlap_abs_odd(*cq)),
@@ -297,5 +297,5 @@ def run_suite(example: str, sys: BiorthogonalSystem, resolved: dict, sources: di
 
 
 def run_overlap(closed: np.ndarray, quad: np.ndarray) -> list[Check]:
-    """The overlap comparison's checks on the closed-form and quadrature tables."""
+    """The overlap comparison's checks on the closed-form table and the Gram."""
     return _run_rows(OVERLAP, (closed, quad), {}, {})

@@ -6,6 +6,7 @@ members, and the single-entry quadrature oracle of the example1 overlaps.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -34,15 +35,19 @@ def truncated(sys, m: int):
 
 
 def overlap_quadrature(n: int, m: int, order: int | None = None) -> complex:
-    """[phi_n, phi_m] for example1 by Gauss quadrature with weight scale 3/2.
+    """[phi_n, phi_m] for example1 by Gauss quadrature with weight exp(-3x^2/2).
 
-    Against that weight the integrand is exactly a polynomial of degree
-    n + m, so the rule is exact once its order clears (n + m)/2; this is the
-    single-entry oracle for :func:`grslab.overlap_closed_form`.
+    This is an independent quadrature oracle on a Gauss rule scaled to the
+    integrand's Gaussian: against that weight the integrand is exactly a
+    polynomial of degree n + m, so the rule is exact once its order clears
+    (n + m)/2.  It is the single-entry oracle for
+    :func:`grslab.overlap_closed_form`.
     """
     if order is None:
         order = n + m + QUAD_ORDER_PAD // 2
-    rule = gauss_hermite_rule(order, scale=1.5)
-    # rows phi_0..phi_max(n, m) of the example1 family on the rule
-    fam = hermite_function_table(max(n, m), rule.nodes) * np.exp(-rule.nodes**2 / 4.0)
-    return complex(np.sum(rule.dx_weights * fam[n][::-1] * np.conj(fam[m])))
+    rule = gauss_hermite_rule(order)
+    root = math.sqrt(1.5)
+    nodes, dx_weights = rule.nodes / root, rule.dx_weights / root
+    # rows phi_0..phi_max(n, m) of the example1 family on the scaled rule
+    fam = hermite_function_table(max(n, m), nodes) * np.exp(-nodes**2 / 4.0)
+    return complex(np.sum(dx_weights * fam[n][::-1] * np.conj(fam[m])))

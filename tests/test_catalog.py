@@ -16,6 +16,17 @@ from grslab import (
 from reference import overlap_quadrature
 
 
+def mpmath_overlap(mpmath, n: int, m: int):
+    """The closed formula for an even n + m at the caller's mpmath precision:
+    prefactor, Gamma factor and series, at exactly the (m, -n, (1-m-n)/2, 3/2)
+    the overlap sums."""
+    s = n + m + 1
+    pre = mpmath.sqrt(mpmath.mpf(2) ** s / (mpmath.mpf(3) ** s * mpmath.pi
+                                           * mpmath.factorial(n) * mpmath.factorial(m)))
+    series = mpmath.hyp2f1(-m, -n, mpmath.mpf(1 - m - n) / 2, mpmath.mpf(3) / 2)
+    return pre * mpmath.gamma(mpmath.mpf(s) / 2) * abs(series)
+
+
 class TestMakeExample:
     def test_shifted_first_type(self, shifted_sys):
         assert classify_type(shifted_sys) == "first_type"
@@ -139,8 +150,7 @@ class TestOverlapClosedForm:
             assert overlap_closed_form(n, m) == pytest.approx(overlap_closed_form(m, n), rel=1e-12)
 
     def test_matches_mpmath_oracle_through_30(self):
-        # the same closed formula at 40 digits: prefactor, Gamma factor and
-        # series, at exactly the (m, -n, (1-m-n)/2, 3/2) the overlap sums
+        # the same closed formula at 40 digits
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             for n in range(31):
@@ -149,11 +159,7 @@ class TestOverlapClosedForm:
                     if (n + m) % 2 == 1:
                         assert got == 0.0, (n, m)
                         continue
-                    s = n + m + 1
-                    pre = mpmath.sqrt(mpmath.mpf(2) ** s / (mpmath.mpf(3) ** s * mpmath.pi
-                                                           * mpmath.factorial(n) * mpmath.factorial(m)))
-                    series = mpmath.hyp2f1(-m, -n, mpmath.mpf(1 - m - n) / 2, mpmath.mpf(3) / 2)
-                    oracle = pre * mpmath.gamma(mpmath.mpf(s) / 2) * abs(series)
+                    oracle = mpmath_overlap(mpmath, n, m)
                     assert abs(got - oracle) <= 1e-9 * oracle, (n, m)
 
     def test_index_cap(self):
@@ -187,11 +193,21 @@ class TestOracleEquivalence:
         z = overlap_quadrature(2, 4)
         assert abs(abs(z) - overlap_closed_form(2, 4)) <= 1e-12
 
-    def test_quadrature_agrees_with_system_gram(self, example1_sys):
-        # the same numbers through the generic Krein machinery on the
-        # working rule, a third independent route
-        from grslab import krein_gram
+    def test_quadrature_agrees_with_system_gram(self):
+        # the quadrature table is the Krein Gram of the example1 system that
+        # ``verify example1 --n n_max + 1`` builds, bit for bit
+        for n_max in (0, 12, 30):
+            _, quad = overlap_matrices(n_max)
+            gram = make_example(ExampleSpec(id="example1", n=n_max + 1)).krein_gram
+            assert quad.shape == gram.shape and np.array_equal(quad, gram), n_max
 
-        k = krein_gram(example1_sys)
-        closed, _ = overlap_matrices(example1_sys.n - 1)
-        assert np.max(np.abs(np.abs(k) - closed)) <= 1e-8
+    def test_quadrature_matches_mpmath_at_30(self):
+        # every even entry of the system's Gram at N = 31, against the
+        # closed formula at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        _, quad = overlap_matrices(30)
+        with mpmath.workdps(40):
+            for n in range(31):
+                for m in range(n % 2, 31, 2):
+                    oracle = mpmath_overlap(mpmath, n, m)
+                    assert abs(abs(quad[n, m]) - oracle) <= 2e-9 * oracle, (n, m)

@@ -224,6 +224,16 @@ class TestOverlapCommand:
             "default:TOL_OVERLAP_REL", "default:TOL_OVERLAP_ODD", "default:TOL_SPOT",
         ]
 
+    def test_smallest_n_max_is_a_one_member_build(self):
+        assert main(["overlap", "--n-max", "0"]) == 0
+
+    def test_default_order_is_example1_working_order(self, tmp_path):
+        # the default order at n_max = 30 is example1's 2N + 40 with N = 31
+        p1, p2 = tmp_path / "default.json", tmp_path / "explicit.json"
+        assert main(["overlap", "--n-max", "30", "--json", str(p1)]) == 0
+        assert main(["overlap", "--n-max", "30", "--quad-order", "102", "--json", str(p2)]) == 0
+        assert strip_wall_times(read_json(p1))["checks"] == strip_wall_times(read_json(p2))["checks"]
+
 
 class TestDeterminism:
     def test_reports_identical_modulo_wall_time(self, tmp_path):

@@ -344,7 +344,7 @@ class TestRoundTrip:
         assert biorthogonality_defect(cut) <= biorthogonality_defect(shifted_sys) + 1e-15
 
     def test_family_on_other_rule(self, shifted_sys):
-        fine = gauss_hermite_rule(100, 1.0)
+        fine = gauss_hermite_rule(100)
         phi = family_samples(shifted_sys, "phi", fine)
         want = hermite_function(3, fine.nodes + 0.5j)
         assert np.max(np.abs(phi[3] - want)) < 1e-13

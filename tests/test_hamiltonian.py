@@ -57,7 +57,7 @@ class TestFdAssembly:
         with pytest.raises(DomainError):
             fd_matrix("free_particle", GRID)
         with pytest.raises(StructureError):
-            fd_matrix("example1", gauss_hermite_rule(300, 1.0))
+            fd_matrix("example1", gauss_hermite_rule(300))
         with pytest.raises(ResolutionError):
             fd_matrix("example1", uniform_trapezoid_rule(12.0, 400))
         with pytest.raises(DomainError):

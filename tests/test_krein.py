@@ -18,7 +18,7 @@ from grslab.krein import (
 )
 
 BASIS = hermite_basis(8)
-RULE = gauss_hermite_rule(64, 1.0)
+RULE = gauss_hermite_rule(64)
 
 
 def coeff(values) -> CoefficientRep:

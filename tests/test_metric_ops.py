@@ -20,7 +20,7 @@ from grslab.metric_ops import apply_exp_q
 from reference import hermite_function
 
 BASIS = hermite_basis(12)
-RULE = gauss_hermite_rule(72, 1.0)
+RULE = gauss_hermite_rule(72)
 
 Q_ODD = Multiplication("(scale 2 (atan x))")
 Q_EVEN = Multiplication("(scale -0.5 (pow x 2))")
@@ -64,7 +64,7 @@ class TestApplyExpQ:
         f = unit_vector(BASIS, 0)
         g = apply_exp_q(Q_TRANS, 0.5, f)
         assert g.shift == 0.5j
-        rule1 = gauss_hermite_rule(1, 1.0)  # single node at 0
+        rule1 = gauss_hermite_rule(1)  # single node at 0
         val = to_samples(g, rule1).samples[0]
         assert val == pytest.approx(math.pi**-0.25 * math.exp(0.125), rel=1e-14)
 
