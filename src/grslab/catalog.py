@@ -174,17 +174,17 @@ def _hyp2f1_terminating(m: int, b: float, c: float, z: float) -> float:
     return total
 
 
-def overlap_matrices(n_max: int, quad_order: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(closed-form matrix, Krein Gram) for 0 <= n, m <= n_max.
+def overlap_matrices(n_max: int, quad_order: int | None = None) -> tuple[np.ndarray, BiorthogonalSystem]:
+    """(closed-form matrix, example1 system) for 0 <= n, m <= n_max.
 
-    The Gram is that of the example1 system at N = n_max + 1 on its working
-    rule of order ``quad_order`` (default 2N + QUAD_ORDER_PAD), the system
-    ``verify example1`` builds.
+    The system is the one ``verify example1`` builds at N = n_max + 1, on
+    its working rule of order ``quad_order`` (default 2N + QUAD_ORDER_PAD);
+    the closed form is compared with its Krein Gram.
     """
     if not isinstance(n_max, (int, np.integer)) or not 0 <= n_max <= 30:
         raise DomainError(f"n_max must be an integer in [0, 30], got {n_max!r}")
-    quad = make_example(ExampleSpec(id="example1", n=n_max + 1, quad_order=quad_order)).krein_gram
+    sys_ = make_example(ExampleSpec(id="example1", n=n_max + 1, quad_order=quad_order))
     closed = np.array(
         [[overlap_closed_form(n, m) for m in range(n_max + 1)] for n in range(n_max + 1)]
     )
-    return closed, quad
+    return closed, sys_

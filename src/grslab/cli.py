@@ -170,17 +170,20 @@ def _cmd_verify(args) -> int:
 def _cmd_overlap(args) -> int:
     cfg = _load_config()
     n_max, n_max_src = _resolve(args, cfg, "n_max", dflt.DEFAULT_NMAX, "DEFAULT_NMAX")
-    quad_order, _ = _resolve(args, cfg, "quad_order", None, "QUAD_ORDER_PAD")
+    quad_order, quad_order_src = _resolve(args, cfg, "quad_order", None, "QUAD_ORDER_PAD")
     try:
-        closed, quad = overlap_matrices(n_max, quad_order)
+        closed, example1 = overlap_matrices(n_max, quad_order)
     except GrslabError as exc:
         raise UsageError(f"cannot evaluate overlaps: {exc}") from exc
 
+    quad = example1.krein_gram
+    settings = {
+        "rule": {"kind": example1.rule.kind, "points": len(example1.rule)},
+        "resolved": {k: v for k, v in (("n_max", n_max), ("quad_order", quad_order)) if v is not None},
+        "sources": {"n_max": n_max_src, "quad_order": quad_order_src},
+    }
     report = VerificationReport(
-        example="overlap",
-        params={"n_max": n_max},
-        settings={"sources": {"n_max": n_max_src}},
-        checks=run_overlap(closed, quad),
+        example="overlap", params={"n_max": n_max}, settings=settings, checks=run_overlap(closed, quad)
     )
     return _finish(args, cfg, report, lambda path: write_overlap_csv(closed, quad, path))
 

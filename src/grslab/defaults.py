@@ -18,7 +18,6 @@ DEFAULT_A = 0.5                 # default shift for the translated-basis example
 DEFAULT_BETA = 4.0              # default anharmonic exponent
 DEFAULT_NMAX = 12               # default index cap for overlap comparisons
 RNG_SEED = 20250809             # seed for every randomized suite (determinism)
-GQ_TEST_BASIS = 64              # expansion length of the Gaussian test function
 GQ_MIN_N = 32                   # smallest truncation whose suite checks the quasi-basis resolution
 QUAD_ORDER_PAD = 40             # Gauss-Hermite order = 2N + pad
 FD_HALF_WIDTH = 12.0            # default finite-difference half-width

@@ -12,12 +12,14 @@ argument for translation generators, pointwise exp(tq) multiplies of the
 member table for multiplication symbols (a build evaluates that table once
 for both signs).  A table is real exactly when its samples are: members on
 the real nodes and their multiplication moves are float64, and only a
-nonzero translation shift makes a table complex.  The quasi-basis probe,
-a coefficient row over the Hermite functions, is moved as one sampled row
-by the same dispatch, and the build and the probe pass one domain-decay
-gate (:func:`grslab.metric_ops.decay_scores` on the moved tables).  The Grams and the defects are matrix expressions over those
-tables (BLAS products, real ones over two real tables), not loops over
-members or pairs.  Weighted inner products are always evaluated in the
+nonzero translation shift makes a table complex.  The quasi-basis probe is
+the unit Gaussian in closed form, sampled on the working rule; it moves
+exactly to f(x + 2iat) under translation and through the same multiply
+under multiplication, and the build and the probe pass one domain-decay
+gate (:func:`grslab.metric_ops.decay_scores` on the moved tables).  The
+Grams and the defects are matrix expressions over those tables (BLAS
+products, real ones over two real tables), not loops over members or
+pairs.  Weighted inner products are always evaluated in the
 factored form <exp(sQ/2) f, exp(sQ/2) g>, which halves the dynamic range
 compared to applying exp(sQ) whole; :func:`weighted_inner` is the
 per-function reference that tests compare the tables against.
@@ -32,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .basis import BasisSet, QuadratureRule, _readonly, hermite_basis, hermite_function_table
+from .basis import BasisSet, QuadratureRule, _readonly, hermite_function_table
 from .defaults import DECAY_THRESHOLD, QUAD_ORDER_PAD
 from .errors import DomainError, MagnitudeError, NumericError, StructureError
 from .krein import FunctionRep, SampleRep, inner, to_samples
@@ -139,20 +141,18 @@ def _moved_table(
     rule: QuadratureRule,
     t: float,
     family: tuple[float, np.ndarray] | None = None,
-    coeffs: np.ndarray | None = None,
 ) -> np.ndarray:
     """exp(tQ) applied to each of n members on ``rule``: a fresh C-ordered
     table, one row per member, complex only where the samples are.
 
     The members are the basis members e_k, k < n, or, given ``family =
     (t0, table)``, the members exp(t0 Q) e_k already sampled on ``rule``.
-    Given a (k x n) ``coeffs`` as well, the moved functions are the k
-    combinations ``coeffs`` @ members, and ``table`` holds their samples.
     Translation evaluates one member table at the argument shift
-    2ia(t0 + t), which is exact and needs the analytic basis, and contracts
-    it with ``coeffs``; at t0 + t = 0 that is the real member table.
-    Multiplication multiplies the table pointwise by exp(tq), with the
-    overflow checks of :func:`multiply_exp_q`, and keeps the table's dtype.
+    2ia(t0 + t), which is exact and needs the analytic basis; at t0 + t = 0
+    that is the real member table.  Multiplication multiplies the table
+    pointwise by exp(tq), with the overflow checks of
+    :func:`multiply_exp_q`, and keeps the table's dtype; only this kind
+    reads ``table``, so any sampled rows may stand in for it.
     """
     t0, table = (0.0, None) if family is None else family
     if isinstance(q_op, Multiplication):
@@ -161,8 +161,7 @@ def _moved_table(
         return multiply_exp_q(q_op, t, table, rule)
     if not basis.is_analytic:
         raise StructureError("translation generators act on the analytic Hermite basis")
-    table = _member_table(basis, n, rule, 2j * q_op.a * (t0 + t))
-    return table if coeffs is None else coeffs @ table
+    return _member_table(basis, n, rule, 2j * q_op.a * (t0 + t))
 
 
 def _moved_or_none(*args) -> np.ndarray | None:
@@ -234,29 +233,33 @@ def biorthogonality_defect(sys: BiorthogonalSystem) -> float:
     return float(np.max(np.abs(sys.biorth_gram - np.eye(sys.n))))
 
 
-def gq_basis_defect(sys: BiorthogonalSystem, f: np.ndarray) -> float:
-    """|<f,f> - sum <f,phi_n><psi_n,f>| over the system's members.
+def gq_basis_defect(sys: BiorthogonalSystem) -> float:
+    """|<f,f> - sum <f,phi_n><psi_n,f>| over the system's members, for the
+    unit Gaussian f(x) = (2/pi)^{1/4} exp(-x^2) sampled on the working rule.
 
     The other ordering, sum <f,psi_n><phi_n,f>, is the complex conjugate of
     this sum when both arguments are f, so it carries no further evidence.
-    f is a coefficient row over the analytic Hermite functions and must
-    clear the domain-decay gate for both signs: its sampled row is moved by
-    exp(+-Q/2) through the dispatch that builds the families.  A real row
-    stays real, so on a multiplication system every product here is real.
+    f must clear the domain-decay gate for both signs of exp(+-Q/2):
+    translation moves it exactly to f(x + 2iat), multiplication multiplies
+    its sampled row by exp(tq), and a sign that overflows scores 0.  The
+    samples are real, so on a multiplication system every product here is.
     """
-    f = np.asarray(f)
-    if f.ndim != 1 or f.size == 0:
-        raise DomainError(f"f must be a nonempty coefficient row, got shape {f.shape}")
-    basis, rule = hermite_basis(f.size), sys.rule
-    fs = f @ _member_table(basis, f.size, rule)
-    moved = [_moved_or_none(sys.q, basis, f.size, rule, t, (0.0, fs[np.newaxis]), f[np.newaxis])
-             for t in _EXPONENTS.values()]
+    rule, q_op = sys.rule, sys.q
+
+    def probe(shift=0.0):
+        return (2.0 / np.pi) ** 0.25 * np.exp(-((rule.nodes + shift) ** 2))
+
+    fs = probe()
+    if isinstance(q_op, Multiplication):
+        moved = [_moved_or_none(q_op, sys.basis, 1, rule, t, (0.0, fs[np.newaxis]))
+                 for t in _EXPONENTS.values()]
+    else:
+        moved = [probe(2j * q_op.a * t)[np.newaxis] for t in _EXPONENTS.values()]
     _decay_gate(moved, rule, lambda k: "probe")
     w = rule.dx_weights
-    ff = np.sum(w * fs * fs.conj())
     f_phi = (sys.phi_samples * w).conj() @ fs      # <f, phi_n>
-    psi_f = (sys.psi_samples * w) @ fs.conj()      # <psi_n, f>
-    return float(abs(ff - np.sum(f_phi * psi_f)))
+    psi_f = (sys.psi_samples * w) @ fs             # <psi_n, f>
+    return float(abs(np.sum(w * fs * fs) - np.sum(f_phi * psi_f)))
 
 
 def g0_quadratic_check(sys: BiorthogonalSystem, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ These representations describe single functions.  They are the reference
 path that the tests compare the table path against (pairwise products,
 :func:`gram_matrix`); no verify suite constructs one.  A built system holds
 its families as sample tables (:mod:`grslab.grs`), and the quasi-basis probe
-is a coefficient row moved by the same table dispatch.
+is sampled in closed form.
 """
 
 from __future__ import annotations

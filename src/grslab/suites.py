@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import defaults as dflt
-from .basis import gauss_hermite_rule, hermite_function_table, uniform_trapezoid_rule
+from .basis import uniform_trapezoid_rule
 from .csymmetry import (
     c_rows,
     c_squared_residual,
@@ -50,30 +50,8 @@ __all__ = [
     "OVERLAP",
     "run_suite",
     "run_overlap",
-    "gaussian_test_function",
     "span_functions",
 ]
-
-# ---------------------------------------------------------------------------
-# shared test-function constructions (also used by the acceptance suite)
-# ---------------------------------------------------------------------------
-
-@cache
-def gaussian_test_function() -> np.ndarray:
-    """Normalized exp(-x^2) as a read-only row of GQ_TEST_BASIS coefficients
-    over the Hermite functions, computed once per process.
-
-    The coefficients fall off geometrically, so the truncation sits at
-    machine noise long before that length; normalizing the vector makes the
-    function exactly unit in the Hilbert norm.
-    """
-    size = dflt.GQ_TEST_BASIS
-    rule = gauss_hermite_rule(2 * size + dflt.QUAD_ORDER_PAD)
-    table = hermite_function_table(size - 1, rule.nodes)
-    coeffs = (table * rule.dx_weights) @ np.exp(-rule.nodes**2)
-    coeffs /= np.linalg.norm(coeffs)
-    coeffs.setflags(write=False)
-    return coeffs
 
 
 def span_functions(sys: BiorthogonalSystem, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -226,7 +204,7 @@ def _first_type(partner_tol: str, eigen_tol: str, eigen: Callable[[Run], float])
         ("c_metric_consistency", "TOL_SPLIT", c_metric_consistency_defect),
         ("expansion", "TOL_EXPANSION",
          lambda r: np.max(expansion_residual(r.sys, r.span[:5], r.settings["tol_krein"]))),
-        ("gq_resolution", "TOL_GQ", lambda r: gq_basis_defect(r.sys, gaussian_test_function())),
+        ("gq_resolution", "TOL_GQ", lambda r: gq_basis_defect(r.sys)),
         ("eigen_residuals", eigen_tol, eigen),
     )
 
@@ -268,8 +246,8 @@ def overlap_abs_odd(closed: np.ndarray, quad: np.ndarray) -> float:
     return float(np.max(np.abs(quad[~_even_index_sum(closed)]), initial=0.0))
 
 
-#: closed-form indefinite overlaps vs example1's Krein Gram; the run context
-#: is the pair (closed, quad) of :func:`grslab.catalog.overlap_matrices`
+#: closed-form indefinite overlaps vs example1's Krein Gram; the run context is
+#: the pair (closed, quad) read off :func:`grslab.catalog.overlap_matrices`
 OVERLAP: tuple[Row, ...] = (
     ("overlap_rel_even", "TOL_OVERLAP_REL", lambda cq: overlap_rel_even(*cq)),
     ("overlap_abs_odd", "TOL_OVERLAP_ODD", lambda cq: overlap_abs_odd(*cq)),

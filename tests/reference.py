@@ -2,7 +2,8 @@
 
 No verify suite reaches these, so they live beside the tests instead of in
 the library: a single Hermite function, a system restricted to its first
-members, and the single-entry quadrature oracle of the example1 overlaps.
+members, the single-entry quadrature oracle of the example1 overlaps, and
+the gq probe as a row of Hermite coefficients.
 """
 
 import dataclasses
@@ -51,3 +52,21 @@ def overlap_quadrature(n: int, m: int, order: int | None = None) -> complex:
     # rows phi_0..phi_max(n, m) of the example1 family on the scaled rule
     fam = hermite_function_table(max(n, m), nodes) * np.exp(-nodes**2 / 4.0)
     return complex(np.sum(dx_weights * fam[n][::-1] * np.conj(fam[m])))
+
+
+#: expansion length of the coefficient form of the gq probe
+PROBE_TERMS = 64
+
+
+def gaussian_probe_coefficients() -> np.ndarray:
+    """The gq probe (2/pi)^{1/4} exp(-x^2) as a row of PROBE_TERMS
+    coefficients over the Hermite functions.
+
+    The coefficients fall off geometrically, so the truncation sits at
+    machine noise long before that length; normalizing the vector makes the
+    function exactly unit in the Hilbert norm.
+    """
+    rule = gauss_hermite_rule(2 * PROBE_TERMS + QUAD_ORDER_PAD)
+    table = hermite_function_table(PROBE_TERMS - 1, rule.nodes)
+    coeffs = (table * rule.dx_weights) @ np.exp(-rule.nodes**2)
+    return coeffs / np.linalg.norm(coeffs)

@@ -14,7 +14,6 @@ import grslab as g
 from grslab.csymmetry import c_squared_residual, jc_positivity_value
 from grslab.suites import (
     example1_eigen_defect,
-    gaussian_test_function,
     shifted_ho_eigen_defect,
     span_functions,
 )
@@ -29,7 +28,8 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_01_closed_form_overlap_against_quadrature():
     start = time.perf_counter()
-    closed, quad = g.overlap_matrices(12)
+    closed, sys_ = g.overlap_matrices(12)
+    quad = sys_.krein_gram
     worst_rel = 0.0
     worst_odd = 0.0
     for n in range(13):
@@ -129,8 +129,7 @@ def test_criterion_06_perturbed_anharmonic():
 
 
 def test_criterion_07_quasi_basis_resolution_trend(shifted_sys32):
-    probe = gaussian_test_function()
-    defects = {m: g.gq_basis_defect(truncated(shifted_sys32, m), probe) for m in (8, 16, 32)}
+    defects = {m: g.gq_basis_defect(truncated(shifted_sys32, m)) for m in (8, 16, 32)}
     d8, d16, d32 = defects[8], defects[16], defects[32]
     ok = d32 < d16 < d8 and d32 <= 1e-6
     report(

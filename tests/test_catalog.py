@@ -180,7 +180,8 @@ class TestOverlapClosedForm:
 
 class TestOracleEquivalence:
     def test_quadrature_matches_closed_form_through_12(self):
-        closed, quad = overlap_matrices(12)
+        closed, sys_ = overlap_matrices(12)
+        quad = sys_.krein_gram
         for n in range(13):
             for m in range(13):
                 if (n + m) % 2 == 0:
@@ -195,17 +196,19 @@ class TestOracleEquivalence:
 
     def test_quadrature_agrees_with_system_gram(self):
         # the quadrature table is the Krein Gram of the example1 system that
-        # ``verify example1 --n n_max + 1`` builds, bit for bit
+        # ``verify example1 --n n_max + 1`` builds, bit for bit, on its rule
         for n_max in (0, 12, 30):
-            _, quad = overlap_matrices(n_max)
-            gram = make_example(ExampleSpec(id="example1", n=n_max + 1)).krein_gram
-            assert quad.shape == gram.shape and np.array_equal(quad, gram), n_max
+            _, got = overlap_matrices(n_max)
+            want = make_example(ExampleSpec(id="example1", n=n_max + 1))
+            assert got.krein_gram.shape == want.krein_gram.shape, n_max
+            assert np.array_equal(got.krein_gram, want.krein_gram), n_max
+            assert got.rule.kind == want.rule.kind and np.array_equal(got.rule.nodes, want.rule.nodes)
 
     def test_quadrature_matches_mpmath_at_30(self):
         # every even entry of the system's Gram at N = 31, against the
         # closed formula at 40 digits
         mpmath = pytest.importorskip("mpmath")
-        _, quad = overlap_matrices(30)
+        quad = overlap_matrices(30)[1].krein_gram
         with mpmath.workdps(40):
             for n in range(31):
                 for m in range(n % 2, 31, 2):

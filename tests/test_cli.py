@@ -232,7 +232,27 @@ class TestOverlapCommand:
         p1, p2 = tmp_path / "default.json", tmp_path / "explicit.json"
         assert main(["overlap", "--n-max", "30", "--json", str(p1)]) == 0
         assert main(["overlap", "--n-max", "30", "--quad-order", "102", "--json", str(p2)]) == 0
-        assert strip_wall_times(read_json(p1))["checks"] == strip_wall_times(read_json(p2))["checks"]
+        default, explicit = strip_wall_times(read_json(p1)), strip_wall_times(read_json(p2))
+        assert default["checks"] == explicit["checks"]
+        # the report names the rule it read and where its order came from
+        assert default["settings"] == {
+            "rule": {"kind": "gauss_hermite", "points": 102},
+            "resolved": {"n_max": 30},
+            "sources": {"n_max": "flag", "quad_order": "default:QUAD_ORDER_PAD"},
+        }
+        assert explicit["settings"]["rule"] == default["settings"]["rule"]
+        assert explicit["settings"]["resolved"] == {"n_max": 30, "quad_order": 102}
+        assert explicit["settings"]["sources"]["quad_order"] == "flag"
+
+    def test_report_records_the_rule_it_read(self, tmp_path):
+        # order 120 fails overlap_rel_even (1.35e-8 against 1e-8), so the
+        # rule is what tells the two reports apart
+        points = []
+        for order, code in (("102", 0), ("120", 1)):
+            path = tmp_path / f"q{order}.json"
+            assert main(["overlap", "--n-max", "30", "--quad-order", order, "--json", str(path)]) == code
+            points.append(read_json(path)["settings"]["rule"]["points"])
+        assert points == [102, 120]
 
 
 class TestDeterminism:
@@ -248,17 +268,17 @@ class TestDeterminism:
         ids=["shifted-ho", "example1", "perturbed-anharmonic"],
     )
     def test_process_caches_change_no_report(self, argv, tmp_path):
-        # the Gauss rules, the anharmonic eigenbasis, the finite-difference
-        # grid and the gq probe are built once per process: a repeat and a
-        # run after clearing them must report exactly what the first run did
+        # the Gauss rules, the anharmonic eigenbasis and the finite-difference
+        # grid are built once per process: a repeat and a run after clearing
+        # them must report exactly what the first run did
         from grslab.basis import _gauss_hermite_rule
         from grslab.catalog import _anharmonic_basis
-        from grslab.suites import _fd_grid, gaussian_test_function
+        from grslab.suites import _fd_grid
 
         docs = []
         for k in range(3):
             if k == 2:
-                caches = (_gauss_hermite_rule, _anharmonic_basis, _fd_grid, gaussian_test_function)
+                caches = (_gauss_hermite_rule, _anharmonic_basis, _fd_grid)
                 for cached in caches:
                     cached.cache_clear()
             path = tmp_path / f"r{k}.json"
@@ -518,7 +538,6 @@ class TestScalingGuard:
         import grslab.krein
         import grslab.metric_ops
         from grslab import ExampleSpec, krein_gram, make_example
-        from grslab.suites import gaussian_test_function
 
         counts = collections.Counter()
 
@@ -570,15 +589,16 @@ class TestScalingGuard:
         assert counts["g0_quadratic_check"] == 2
 
         # one decay gate for the build and one for the gq probe, both on
-        # sample tables: no verify constructs a FunctionRep; the probe's
-        # Hermite tables are its member table and, for translation, the two
-        # shifted ones (counted as in a fresh process, probe not yet cached),
-        # and the parity verdict samples none; translation's one weighted
-        # Gram pulls back to one member table
-        for example, tables in (("shifted-ho", 8), ("perturbed-anharmonic", 2)):
+        # sample tables: no verify constructs a FunctionRep, and the probe is
+        # sampled in closed form, with no Hermite table.  Translation's
+        # tables are phi, psi, the one pull-back of its weighted Gram and
+        # the finite-difference ladder; the eigenbasis builds none
+        # (shifted-ho at N = 128 exits 1 on its known g0_agreement failure)
+        for example, n, code, tables in (("shifted-ho", 32, 0, 4), ("shifted-ho", 128, 1, 4),
+                                         ("perturbed-anharmonic", 32, 0, 0),
+                                         ("perturbed-anharmonic", 64, 0, 0)):
             counts.clear()
-            gaussian_test_function.cache_clear()
-            assert main(["verify", example, "--n", "32"]) == 0
+            assert main(["verify", example, "--n", str(n)]) == code
             assert counts["decay_scores"] == 2 and counts["hermite_function_table"] == tables
             assert counts["apply_exp_q"] == counts["to_samples"] == counts["evaluate"] == 0
 

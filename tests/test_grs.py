@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,16 +16,14 @@ from grslab import (
     gauss_hermite_rule,
     gq_basis_defect,
     hermite_basis,
-    hermite_function_table,
     weighted_gram,
 )
 from grslab.grs import weighted_inner
 from grslab.krein import CoefficientRep, evaluate, gram_matrix, to_samples, unit_vector
 from grslab.metric_ops import apply_exp_q
-from grslab.suites import gaussian_test_function
 
 from conftest import member_reps
-from reference import hermite_function, truncated
+from reference import gaussian_probe_coefficients, hermite_function, truncated
 
 BASIS = hermite_basis(16)
 
@@ -167,46 +166,58 @@ class TestBiorthogonality:
         assert biorthogonality_defect(perturbed_sys) <= 1e-7
 
 
-class TestQuasiBasisResolution:
-    def test_single_term_exact(self, zero_sys):
-        assert gq_basis_defect(zero_sys, np.ones(1)) <= 1e-13
+def probe_samples(rule):
+    """The gq probe (2/pi)^{1/4} exp(-x^2) in closed form on ``rule``."""
+    return (2 / np.pi) ** 0.25 * np.exp(-rule.nodes**2)
 
+
+class TestQuasiBasisResolution:
     def test_gaussian_probe_converges(self, shifted_sys32):
-        probe = gaussian_test_function()
-        defects = {m: gq_basis_defect(truncated(shifted_sys32, m), probe) for m in (8, 16, 32)}
+        defects = {m: gq_basis_defect(truncated(shifted_sys32, m)) for m in (8, 16, 32)}
         assert defects[32] <= 1e-6
         assert defects[32] < defects[16] - 1e-12
         assert defects[16] < defects[8] - 1e-12
 
     def test_domain_gate(self, perturbed_sys):
-        # e_30 reaches the edge of the uniform window (half-width 8), so
-        # exp(+Q/2) e_30 keeps mass on its outer nodes
-        e30 = np.eye(31)[30]
+        # exp(+x^3/2) piles the probe's mass onto the right end of the
+        # uniform window (half-width 8)
+        cubic = dataclasses.replace(perturbed_sys, q=Multiplication("(pow x 3)"))
         with pytest.raises(DomainError, match=r"probe: exp\(\+0.5 Q\) mass escapes the window"):
-            gq_basis_defect(perturbed_sys, e30)
+            gq_basis_defect(cubic)
+
+    def test_closed_form_probe_is_exact(self, shifted_sys32, perturbed_sys):
+        # within two roundings of a 40-digit evaluation on both working rules
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for sys_ in (shifted_sys32, perturbed_sys):
+                want = [float((2 / mpmath.pi) ** 0.25 * mpmath.exp(-mpmath.mpf(x) ** 2))
+                        for x in sys_.rule.nodes]
+                assert np.max(np.abs(probe_samples(sys_.rule) - want)) <= 2.3e-16
 
     def test_matches_the_function_rep_path(self, shifted_sys32, perturbed_sys):
-        # sampling the probe row through the member table agrees with the
-        # coefficient representation sampled on the working rule
-        probe = gaussian_test_function()
+        # the closed-form probe is the coefficient row of the reference probe
+        # sampled on the working rule, up to the row's own rounding (1.8e-15
+        # and 2.3e-15 from the 40-digit values), and the defect is the
+        # resolution formula on the row's samples
+        coeffs = gaussian_probe_coefficients()
         for sys_ in (shifted_sys32, perturbed_sys):
             w = sys_.rule.dx_weights
-            fs = to_samples(CoefficientRep(hermite_basis(probe.size), probe), sys_.rule).samples
+            fs = to_samples(CoefficientRep(hermite_basis(coeffs.size), coeffs), sys_.rule).samples
+            assert np.max(np.abs(probe_samples(sys_.rule) - fs)) <= 4e-15
             fg = np.sum(w * np.abs(fs) ** 2)
             f_phi, psi_f = np.conj(sys_.phi_samples * w) @ fs, (sys_.psi_samples * w) @ np.conj(fs)
             want = abs(fg - np.sum(f_phi * psi_f))
-            assert gq_basis_defect(sys_, probe) == pytest.approx(want, abs=1e-15)
+            assert gq_basis_defect(sys_) == pytest.approx(want, abs=1e-14)
 
     def test_other_ordering_is_the_same_defect(self, shifted_sys32, perturbed_sys):
         # with f in both slots, sum <f, psi_n><phi_n, f> is the conjugate of
         # sum <f, phi_n><psi_n, f>: the dropped ordering carries no evidence
-        probe = gaussian_test_function()
         for sys_ in (shifted_sys32, perturbed_sys):
             w = sys_.rule.dx_weights
-            fs = probe @ hermite_function_table(probe.size - 1, sys_.rule.nodes)
+            fs = probe_samples(sys_.rule)
             f_psi, phi_f = np.conj(sys_.psi_samples * w) @ fs, (sys_.phi_samples * w) @ np.conj(fs)
             other = abs(np.sum(w * fs * np.conj(fs)) - np.sum(f_psi * phi_f))
-            assert other == gq_basis_defect(sys_, probe)
+            assert other == gq_basis_defect(sys_)
 
     def test_gate_moves_only_the_probe_row(self, shifted_sys32, perturbed_sys, monkeypatch):
         import grslab.grs
@@ -224,11 +235,10 @@ class TestQuasiBasisResolution:
 
         monkeypatch.setattr(grslab.grs, "decay_scores", recorded_scores)
         monkeypatch.setattr(grslab.grs, "multiply_exp_q", recorded_multiply)
-        probe = gaussian_test_function()
         for sys_, multiplies in ((shifted_sys32, 0), (perturbed_sys, 2)):
             gated.clear()
             multiplied.clear()
-            gq_basis_defect(sys_, probe)
+            gq_basis_defect(sys_)
             assert gated == [[(1, len(sys_.rule))] * 2]
             assert len(multiplied) == multiplies
             assert all(shape == (1, len(sys_.rule)) for shape in multiplied)
@@ -363,11 +373,6 @@ class TestBounds:
             truncated(shifted_sys, 0)
         with pytest.raises(DomainError):
             truncated(shifted_sys, 17)
-
-    @pytest.mark.parametrize("f", [np.ones((2, 2)), np.ones(0)], ids=["matrix", "empty"])
-    def test_gq_rows_validation(self, shifted_sys, f):
-        with pytest.raises(DomainError):
-            gq_basis_defect(shifted_sys, f)
 
     def test_family_samples_validates_name(self, shifted_sys):
         with pytest.raises(DomainError):

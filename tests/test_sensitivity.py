@@ -1,9 +1,9 @@
 """Every check must be able to fail: injected defects of known size move it.
 
 Each case injects a defect of size delta into a built system through
-``dataclasses.replace`` on its rule or tables and asserts that the check's
-defect moves by at least delta / 10, or that its verdict flips.  A check no
-injection can move carries no numerical evidence.
+``dataclasses.replace`` on its rule, tables or cached Grams and asserts that
+the check's defect moves by at least delta / 10, or that its verdict flips.
+A check no injection can move carries no numerical evidence.
 """
 
 import dataclasses
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from grslab import defaults as dflt
 from grslab.report import run_check
-from grslab.suites import SUITES, Run, weighted_onb_defect
+from grslab.suites import SUITES, Run, _g0_batch, weighted_onb_defect
 from reference import truncated
 
 DELTAS = st.floats(1e-8, 1e-3) | st.floats(-1e-3, -1e-8)
@@ -29,7 +29,8 @@ def run_row(example, check, sys_):
     """One row of a catalog's suite table on a fresh run context, so every
     call draws the same random vectors."""
     name, tol_name, defect = next(row for row in SUITES[example] if row[0] == check)
-    return run_check(name, getattr(dflt, tol_name), lambda: defect(Run(sys_, SETTINGS)))
+    tol = SETTINGS[tol_name] if tol_name in SETTINGS else getattr(dflt, tol_name)
+    return run_check(name, tol, lambda: defect(Run(sys_, SETTINGS)))
 
 
 def scale_centre_weight(sys_, delta):
@@ -115,6 +116,32 @@ def test_g0_positivity_fails_on_a_negated_psi_table(shifted_sys):
     assert run_row("shifted_ho", "g0_positivity", shifted_sys).passed
     got = run_row("shifted_ho", "g0_positivity", flipped)
     assert got.value == 1.0 and not got.passed
+
+
+def test_g0_positivity_fails_on_small_negative_forms(shifted_sys):
+    # psi scaled by -1e-3 puts every form in [-0.053, -0.016]: negative, yet
+    # above any threshold below zero, so only a test against 0 refuses it
+    shrunk = dataclasses.replace(shifted_sys, psi_samples=-1e-3 * np.asarray(shifted_sys.psi_samples))
+    forms = _g0_batch(Run(shrunk, SETTINGS))[1]
+    assert np.all((forms < 0.0) & (forms > -0.1))
+    got = run_row("shifted_ho", "g0_positivity", shrunk)
+    assert got.value == 1.0 and not got.passed
+
+
+@pytest.mark.parametrize("example", ["shifted_ho", "perturbed_anharmonic"])
+def test_sign_pattern_sees_one_flipped_sign(shifted_sys, perturbed_sys, example):
+    # negating [phi_3, phi_3] in the cached Krein Gram keeps every |K| entry,
+    # so j_orthonormality reads the same; the sign sequence (-1)^n misses by 2
+    sys_ = shifted_sys if example == "shifted_ho" else perturbed_sys
+    k = np.array(sys_.krein_gram)
+    k[3, 3] = -k[3, 3]
+    flipped = dataclasses.replace(sys_)
+    flipped.__dict__["krein_gram"] = k
+    before = run_row(example, "j_orthonormality", sys_).value
+    assert run_row(example, "j_orthonormality", flipped).value == before
+    assert run_row(example, "sign_pattern", sys_).passed
+    got = run_row(example, "sign_pattern", flipped)
+    assert got.value == pytest.approx(2.0, abs=1e-6) and not got.passed
 
 
 @given(delta=DELTAS, row=st.integers(0, 2))
