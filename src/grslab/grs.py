@@ -22,7 +22,9 @@ products, real ones over two real tables), not loops over members or
 pairs.  Weighted inner products are always evaluated in the
 factored form <exp(sQ/2) f, exp(sQ/2) g>, which halves the dynamic range
 compared to applying exp(sQ) whole; :func:`weighted_inner` is the
-per-function reference that tests compare the tables against.
+per-function reference that tests compare the tables against.  A
+translation build evaluates phi alone: on the real nodes psi, at the
+conjugate shift, is phi's complex conjugate bit for bit.
 """
 
 from __future__ import annotations
@@ -207,12 +209,15 @@ def build_system(
         raise DomainError(f"truncation {n} must lie in [1, basis size {basis.size}]")
     rule = working_rule(basis, 2 * n + QUAD_ORDER_PAD if quad_order is None else quad_order)
 
-    # a multiplication moves one member table by both signs; a translation
-    # evaluates each sign's table at its own shifted argument
+    # a multiplication moves one member table by both signs; on the real
+    # nodes a translation's psi (shift -ia) is phi's conjugate, bit for bit
     family = (0.0, _member_table(basis, n, rule)) if isinstance(q_op, Multiplication) else None
-    tables = [_moved_or_none(q_op, basis, n, rule, t, family) for t in _EXPONENTS.values()]
-    min_score = _decay_gate(tables, rule, "basis member {}".format)
-    phi, psi = tables
+    phi = _moved_or_none(q_op, basis, n, rule, _EXPONENTS["phi"], family)
+    if family is not None:
+        psi = _moved_or_none(q_op, basis, n, rule, _EXPONENTS["psi"], family)
+    else:
+        psi = None if phi is None else phi.conj()
+    min_score = _decay_gate([phi, psi], rule, "basis member {}".format)
     return BiorthogonalSystem(
         basis=basis,
         q=q_op,

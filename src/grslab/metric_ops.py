@@ -194,5 +194,5 @@ def decay_scores(tables: Sequence[np.ndarray | None], rule: QuadratureRule) -> n
             outer = np.sum(mass[:, :k], axis=1) + np.sum(mass[:, max(k, len(rule) - k):], axis=1)
         finite = np.isfinite(total)
         fraction = np.divide(outer, total, out=np.where(finite, 0.0, 1.0), where=finite & (total > 0))
-        scores[:, j] = 1.0 - fraction
+        scores[:, j] = 1.0 - np.clip(fraction, 0.0, 1.0)  # rounding can push outer past total
     return scores

@@ -9,7 +9,6 @@ value_im``.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import platform
@@ -21,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import floattext
 from .errors import GrslabError
 
 __all__ = [
@@ -134,44 +134,44 @@ def emit_json(report: VerificationReport, path: str) -> None:
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str) -> None:
-    """Dump a matrix as rows ``n,m,value_re,value_im``.
-
-    A real matrix writes the imaginary part 0.0 that its complex cast would
-    carry, without formatting it once per entry."""
+    """Dump a matrix as rows ``n,m,value_re,value_im``; a real matrix writes
+    the imaginary part 0.0 of its complex cast."""
     m = np.asarray(matrix)
-    real = not np.iscomplexobj(m)
-    m = np.atleast_2d(m.astype(float if real else complex, copy=False))
-    # byte-identical to csv.writer output: no field needs quoting, lines end
-    # in "\r\n"; one write per matrix row keeps the text out of peak memory
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("n,m,value_re,value_im\r\n")
-            cols = [f",{j}," for j in range(m.shape[1])]
-            for i, row in enumerate(m):
-                if real:
-                    lines = [f"{i}{c}{re!r},0.0\r\n" for c, re in zip(cols, row.tolist())]
-                else:
-                    lines = [f"{i}{c}{re!r},{im!r}\r\n"
-                             for c, re, im in zip(cols, row.real.tolist(), row.imag.tolist())]
-                fh.write("".join(lines))
-    except OSError as exc:
-        raise GrslabError(f"cannot write matrix to {path!r}: {exc}") from exc
+    m = np.atleast_2d(m.astype(complex if np.iscomplexobj(m) else float, copy=False))
+    imag = m.imag if np.iscomplexobj(m) else np.broadcast_to(0.0, m.shape)
+    _write_table(path, "n,m,value_re,value_im", [m.real, imag], "matrix")
 
 
 def write_overlap_csv(closed: np.ndarray, quad: np.ndarray, path: str) -> None:
     """Comparison table of closed-form vs quadrature overlap magnitudes."""
-    closed = np.asarray(closed)
-    quad = np.asarray(quad, dtype=complex)
+    closed, quad = np.asarray(closed, dtype=float), np.asarray(quad, dtype=complex)
+    fields = [closed, quad.real, quad.imag, np.abs(np.abs(quad) - closed)]
+    _write_table(path, "n,m,closed_form,quad_re,quad_im,abs_diff", fields, "overlap table")
+
+
+_BLOCK = 512  # entries per write of _write_table
+
+
+def _write_table(path: str, header: str, fields: list[np.ndarray], what: str) -> None:
+    """Write ``header`` and a line ``n,m,f1,...`` per entry of the matrices
+    ``fields``, the bytes ``csv.writer`` writes for their ``repr``: each block
+    of entries is laid out in a uint8 matrix with NUL padding, written without."""
+    rows, cols = fields[0].shape
+    flat = [f.reshape(-1) for f in fields]
+    wide = len(str(max(rows, cols)))
+    names = np.arange(max(rows, cols)).astype(f"S{wide}")[:, None].view(np.uint8)
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "m", "closed_form", "quad_re", "quad_im", "abs_diff"])
-            for i in range(closed.shape[0]):
-                for j in range(closed.shape[1]):
-                    diff = abs(abs(quad[i, j]) - closed[i, j])
-                    writer.writerow(
-                        [i, j, repr(float(closed[i, j])), repr(float(quad[i, j].real)),
-                         repr(float(quad[i, j].imag)), repr(float(diff))]
-                    )
+        with open(path, "wb") as fh:
+            fh.write(header.encode("ascii") + b"\r\n")
+            for start in range(0, rows * cols, _BLOCK):
+                k = np.arange(start, min(start + _BLOCK, rows * cols))
+                line = np.empty((len(k), 2 * wide + 3 + len(flat) * (floattext.WIDTH + 1)), np.uint8)
+                line[:, :wide], line[:, wide + 1 : 2 * wide + 1] = names[k // cols], names[k % cols]
+                cells = line[:, 2 * wide + 2 : -1].reshape(len(k), len(flat), -1)
+                values = np.column_stack([f[start : start + len(k)] for f in flat])
+                cells[:, :, :-1] = floattext.float_text(values).reshape(cells.shape[:2] + (-1,))
+                line[:, [wide, 2 * wide + 1]] = cells[:, :, -1] = ord(",")
+                line[:, -2:] = (ord("\r"), ord("\n"))
+                fh.write(line.tobytes().translate(None, b"\0"))
     except OSError as exc:
-        raise GrslabError(f"cannot write overlap table to {path!r}: {exc}") from exc
+        raise GrslabError(f"cannot write {what} to {path!r}: {exc}") from exc

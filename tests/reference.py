@@ -2,8 +2,9 @@
 
 No verify suite reaches these, so they live beside the tests instead of in
 the library: a single Hermite function, a system restricted to its first
-members, the single-entry quadrature oracle of the example1 overlaps, and
-the gq probe as a row of Hermite coefficients.
+members, the single-entry quadrature oracle of the example1 overlaps, the
+gq probe as a row of Hermite coefficients, and the matrix CSV written one
+``repr`` per entry.
 """
 
 import dataclasses
@@ -70,3 +71,22 @@ def gaussian_probe_coefficients() -> np.ndarray:
     table = hermite_function_table(PROBE_TERMS - 1, rule.nodes)
     coeffs = (table * rule.dx_weights) @ np.exp(-rule.nodes**2)
     return coeffs / np.linalg.norm(coeffs)
+
+
+def write_matrix_csv(matrix, path: str) -> None:
+    """The byte oracle of :func:`grslab.report.write_matrix_csv`: rows
+    ``n,m,value_re,value_im`` with each float written by ``repr``, a real
+    matrix writing the imaginary part 0.0 of its complex cast."""
+    m = np.asarray(matrix)
+    real = not np.iscomplexobj(m)
+    m = np.atleast_2d(m.astype(float if real else complex, copy=False))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("n,m,value_re,value_im\r\n")
+        cols = [f",{j}," for j in range(m.shape[1])]
+        for i, row in enumerate(m):
+            if real:
+                lines = [f"{i}{c}{re!r},0.0\r\n" for c, re in zip(cols, row.tolist())]
+            else:
+                lines = [f"{i}{c}{re!r},{im!r}\r\n"
+                         for c, re, im in zip(cols, row.real.tolist(), row.imag.tolist())]
+            fh.write("".join(lines))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from grslab import defaults as dflt
+from grslab.catalog import overlap_matrices
 from grslab.cli import main
 from grslab.report import VerificationReport, emit_json, run_check, write_matrix_csv
 
@@ -223,6 +224,22 @@ class TestOverlapCommand:
         assert [c["tolerance_source"] for c in doc["checks"]] == [
             "default:TOL_OVERLAP_REL", "default:TOL_OVERLAP_ODD", "default:TOL_SPOT",
         ]
+
+    @pytest.mark.parametrize("n_max", [12, 30])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, n_max):
+        path = tmp_path / "cmp.csv"
+        assert main(["overlap", "--n-max", str(n_max), "--csv", str(path)]) == 0
+        closed, example1 = overlap_matrices(n_max)
+        quad = example1.krein_gram.astype(complex)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["n", "m", "closed_form", "quad_re", "quad_im", "abs_diff"])
+        for i in range(n_max + 1):
+            for j in range(n_max + 1):
+                diff = abs(abs(quad[i, j]) - closed[i, j])
+                writer.writerow([i, j, repr(float(closed[i, j])), repr(float(quad[i, j].real)),
+                                 repr(float(quad[i, j].imag)), repr(float(diff))])
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
 
     def test_smallest_n_max_is_a_one_member_build(self):
         assert main(["overlap", "--n-max", "0"]) == 0
@@ -591,10 +608,11 @@ class TestScalingGuard:
         # one decay gate for the build and one for the gq probe, both on
         # sample tables: no verify constructs a FunctionRep, and the probe is
         # sampled in closed form, with no Hermite table.  Translation's
-        # tables are phi, psi, the one pull-back of its weighted Gram and
-        # the finite-difference ladder; the eigenbasis builds none
-        # (shifted-ho at N = 128 exits 1 on its known g0_agreement failure)
-        for example, n, code, tables in (("shifted-ho", 32, 0, 4), ("shifted-ho", 128, 1, 4),
+        # tables are phi (psi is its conjugate), the one pull-back of its
+        # weighted Gram and the finite-difference ladder; the eigenbasis
+        # builds none (shifted-ho at N = 128 exits 1 on its known
+        # g0_agreement failure)
+        for example, n, code, tables in (("shifted-ho", 32, 0, 3), ("shifted-ho", 128, 1, 3),
                                          ("perturbed-anharmonic", 32, 0, 0),
                                          ("perturbed-anharmonic", 64, 0, 0)):
             counts.clear()
