@@ -13,11 +13,9 @@ Three constructions are cataloged:
                        indefinitely orthonormal, which the closed-form
                        overlap below quantifies.
 
-The closed form for |[phi_n, phi_m]| in the third system multiplies a
-radical prefactor (the radical covers only the rational part), a Gamma
-factor and a terminating Gauss series; it is evaluated in log space so the
-n + m ~ 60 range stays representable.  ``overlap_matrices`` sets it beside
-the Krein Gram of the example1 system that ``verify example1`` builds.
+The closed form for |[phi_n, phi_m]| in the third system is summed exactly
+in integers and rounded once; ``overlap_matrices`` sets it beside the Krein
+Gram of the example1 system that ``verify example1`` builds.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from .basis import (
     uniform_trapezoid_rule,
 )
 from .defaults import DEFAULT_N, TOL_ODDNESS
-from .errors import DomainError, MagnitudeError
+from .errors import DomainError
 from .grs import BiorthogonalSystem, build_system
 from .metric_ops import Multiplication, TranslationGenerator
 
@@ -128,50 +126,35 @@ def _anharmonic_basis(beta: float, grid_l: float, points: int, n: int) -> BasisS
 # ---------------------------------------------------------------------------
 
 def overlap_closed_form(n: int, m: int) -> float:
-    """|[phi_n, phi_m]| for the example1 family, in closed form.
+    """|[phi_n, phi_m]| for the example1 family, in closed form: zero when
+    n + m is odd, else, with s = n + m + 1,
 
-    Zero when n + m is odd; otherwise
+        sqrt( 2^s / (3^s pi n! m!) ) * Gamma(s/2) * |2F1(-m, -n; 1 - s/2; 3/2)|,
 
-        sqrt( 2^{n+m+1} / (3^{n+m+1} pi n! m!) )
-        * Gamma((n+m+1)/2) * |2F1(-m, -n; (1-m-n)/2; 3/2)|,
-
-    with the prefactor assembled in log space.  The second series parameter
-    is -n: with both upper parameters nonpositive integers the series
-    terminates at min(n, m) and the half-integer lower parameter never hits a
-    pole; this reading (and the radical covering only the rational factor)
-    is pinned against example1's Krein Gram, see ``overlap_matrices``.  The
-    test ``test_matches_mpmath_oracle_through_30`` in tests/test_catalog.py
-    holds every entry to the same formula at 40 digits (mpmath).
+    the radical covering only the rational factor (a reading pinned against
+    example1's Krein Gram, see ``overlap_matrices``).  As Gamma(s/2) is
+    sqrt(pi) (s-2)!! / 2^{(s-1)/2}, the square is 2 ((s-2)!!)^2 S^2 / (3^s n! m!):
+    the series S terminates at min(n, m), its half-integer lower parameter
+    never meets a pole, and it is summed in integers.  One ``isqrt`` gives the
+    correctly rounded root (tests/test_catalog.py holds it to mpmath at 40 digits).
     """
     for name, v in (("n", n), ("m", m)):
         if not isinstance(v, (int, np.integer)) or v < 0 or v > 30:
             raise DomainError(f"{name} must be an integer in [0, 30], got {v!r}")
-    if (n + m) % 2 == 1:
+    n, m = int(n), int(m)
+    s = n + m + 1
+    if s % 2 == 0:
         return 0.0
-    log_pre = 0.5 * (
-        (n + m + 1) * (math.log(2.0) - math.log(3.0))
-        - math.log(math.pi)
-        - math.lgamma(n + 1.0)
-        - math.lgamma(m + 1.0)
-    ) + math.lgamma((n + m + 1) / 2.0)
-    series = _hyp2f1_terminating(int(m), -float(n), (1.0 - m - n) / 2.0, 1.5)
-    return math.exp(log_pre) * abs(series)
-
-
-def _hyp2f1_terminating(m: int, b: float, c: float, z: float) -> float:
-    """sum_{k=0}^{m} (-m)_k (b)_k / ((c)_k k!) z^k, term by term.  c must be a
-    half-integer, so that c + k is never 0; a zero term (b = -n with n < m)
-    ends the sum early."""
-    total = 1.0
-    term = 1.0
-    for k in range(m):
-        term = term * ((-m + k) * (b + k) * z) / ((c + k) * (k + 1))
-        if term == 0.0:
-            break
-        total += term
-    if not math.isfinite(total):
-        raise MagnitudeError("terminating series left the representable range")
-    return total
+    num = den = 1  # S = num/den in Horner form; term k over term k - 1 is rn/rd
+    for k in range(min(n, m), 0, -1):
+        rn, rd = 3 * (k - 1 - m) * (k - 1 - n), (2 * k - s) * k
+        num, den = rd * den + rn * num, rd * den
+    x = 2 * (math.prod(range(1, s - 1, 2)) * num) ** 2
+    y = 3**s * math.factorial(n) * math.factorial(m) * den**2
+    # q = floor(2^b sqrt(x/y)) >= 2^63 rounds as the root does once an inexact root sets its last bit
+    b = 64 + (y.bit_length() - x.bit_length()) // 2
+    q = math.isqrt((x << 2 * b) // y)
+    return (q | (q * q * y != x << 2 * b)) / (1 << b)
 
 
 def overlap_matrices(n_max: int, quad_order: int | None = None) -> tuple[np.ndarray, BiorthogonalSystem]:
@@ -179,12 +162,14 @@ def overlap_matrices(n_max: int, quad_order: int | None = None) -> tuple[np.ndar
 
     The system is the one ``verify example1`` builds at N = n_max + 1, on
     its working rule of order ``quad_order`` (default 2N + QUAD_ORDER_PAD);
-    the closed form is compared with its Krein Gram.
+    the closed form is compared with its Krein Gram.  Only the entries with
+    n <= m and n + m even are evaluated; the rest mirror them or are 0.0.
     """
     if not isinstance(n_max, (int, np.integer)) or not 0 <= n_max <= 30:
         raise DomainError(f"n_max must be an integer in [0, 30], got {n_max!r}")
     sys_ = make_example(ExampleSpec(id="example1", n=n_max + 1, quad_order=quad_order))
-    closed = np.array(
-        [[overlap_closed_form(n, m) for m in range(n_max + 1)] for n in range(n_max + 1)]
-    )
+    closed = np.zeros((n_max + 1, n_max + 1))
+    for n in range(n_max + 1):
+        for m in range(n, n_max + 1, 2):
+            closed[n, m] = closed[m, n] = overlap_closed_form(n, m)
     return closed, sys_

@@ -131,7 +131,8 @@ class TestOverlapClosedForm:
         # (1/sqrt(pi)) int exp(-3x^2/2) dx = (1/sqrt(pi)) sqrt(2 pi / 3) = sqrt(2/3)
         oracle = math.sqrt(2.0 * math.pi / 3.0) / math.sqrt(math.pi)
         assert oracle == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-15)
-        assert overlap_closed_form(0, 0) == pytest.approx(oracle, abs=1e-10)
+        # the exact square 2/3, rounded once: the bits of math.sqrt(2/3)
+        assert overlap_closed_form(0, 0) == math.sqrt(2.0 / 3.0)
 
     def test_odd_sum_vanishes(self):
         assert overlap_closed_form(1, 2) == 0.0
@@ -143,14 +144,17 @@ class TestOverlapClosedForm:
         moment = (1.0 / 3.0) * math.sqrt(2.0 * math.pi / 3.0)
         oracle = (2.0 / math.sqrt(math.pi)) * moment
         assert oracle == pytest.approx((2.0 / 3.0) * math.sqrt(2.0 / 3.0), rel=1e-15)
-        assert overlap_closed_form(1, 1) == pytest.approx(oracle, rel=1e-12)
+        # the exact square 8/27, within one ulp of the doubly rounded product
+        want = (2.0 / 3.0) * math.sqrt(2.0 / 3.0)
+        assert abs(overlap_closed_form(1, 1) - want) <= math.ulp(want)
 
     def test_symmetry_in_indices(self):
         for n, m in ((0, 2), (1, 3), (2, 4), (3, 5)):
             assert overlap_closed_form(n, m) == pytest.approx(overlap_closed_form(m, n), rel=1e-12)
 
     def test_matches_mpmath_oracle_through_30(self):
-        # the same closed formula at 40 digits
+        # the same closed formula at 40 digits: every entry is that value
+        # correctly rounded, so within half an ulp
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             for n in range(31):
@@ -160,7 +164,13 @@ class TestOverlapClosedForm:
                         assert got == 0.0, (n, m)
                         continue
                     oracle = mpmath_overlap(mpmath, n, m)
-                    assert abs(got - oracle) <= 1e-9 * oracle, (n, m)
+                    assert got == float(oracle), (n, m)
+
+    def test_even_sum_entries_are_positive_through_30(self):
+        # the overlap suite reads n + m even off the table's nonzero entries
+        for n in range(31):
+            for m in range(n % 2, 31, 2):
+                assert overlap_closed_form(n, m) > 0.0, (n, m)
 
     def test_index_cap(self):
         with pytest.raises(DomainError):
@@ -175,7 +185,29 @@ class TestOverlapClosedForm:
         )
         assert wrong == pytest.approx(0.6133, abs=5e-4)
         assert abs(overlap_closed_form(0, 0) - wrong) > 0.1
-        assert overlap_closed_form(0, 0) == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-10)
+        assert overlap_closed_form(0, 0) == math.sqrt(2.0 / 3.0)
+
+
+class TestOverlapTable:
+    def test_evaluates_only_the_even_upper_triangle(self, monkeypatch):
+        # n <= m with n + m even: 256 of the 31^2 entries at n_max = 30
+        calls = []
+        real = catalog.overlap_closed_form
+
+        def counted(n, m):
+            calls.append((n, m))
+            return real(n, m)
+
+        monkeypatch.setattr(catalog, "overlap_closed_form", counted)
+        closed, _ = overlap_matrices(30)
+        assert len(calls) == 256 and len(set(calls)) == 256
+        assert all(n <= m and (n + m) % 2 == 0 for n, m in calls)
+        assert np.array_equal(closed, closed.T)
+        odd = np.add.outer(np.arange(31), np.arange(31)) % 2 == 1
+        assert np.all(closed[odd] == 0.0) and np.all(closed[~odd] > 0.0)
+        for n in range(31):
+            for m in range(31):
+                assert closed[n, m] == real(n, m), (n, m)
 
 
 class TestOracleEquivalence:

@@ -51,6 +51,20 @@ print(json.dumps({{"codes": codes, "scipy": loaded, "metadata": metadata}}))
     }
 
 
+def test_cli_and_overlap_leave_fractions_and_decimal_unimported(tmp_path):
+    # the closed-form overlap sums its series in plain ints
+    proc = run_fresh(
+        "import contextlib, io, json, sys, grslab.cli\n"
+        "gone = lambda: sorted(m for m in ('fractions', 'decimal') if m in sys.modules)\n"
+        "after_import = gone()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = grslab.cli.main(['overlap', '--n-max', '30', '--csv', {str(tmp_path / 'o.csv')!r}])\n"
+        "print(json.dumps({'import': after_import, 'rc': rc, 'overlap': gone()}))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"import": [], "rc": 0, "overlap": []}
+
+
 def test_perturbed_anharmonic_leaves_scipy_linalg_unimported():
     proc = run_fresh(
         "import contextlib, io, json, sys, grslab.cli\n"

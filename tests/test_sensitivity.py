@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grslab import defaults as dflt
+from grslab.csymmetry import expansion_residual
 from grslab.report import run_check
 from grslab.suites import SUITES, Run, _g0_batch, weighted_onb_defect
 from reference import truncated
@@ -79,6 +80,18 @@ def test_expansion_sees_one_phi_row(shifted_sys, perturbed_sys, example, delta):
     before = run_row(example, "expansion", sys_).value
     shift = abs(run_row(example, "expansion", moved).value - before)
     assert shift >= abs(delta) / 10
+
+
+@pytest.mark.parametrize("example, worst", [("shifted_ho", 1), ("perturbed_anharmonic", 4)])
+def test_expansion_reads_all_five_span_rows(shifted_sys, perturbed_sys, example, worst):
+    # the check is the worst residual over the run's first five span rows;
+    # the worst is row 1 on shifted_ho (1.00e-13 against 7.10e-14 for row 0,
+    # N = 16) and row 4 on perturbed_anharmonic (N = 8), so a check that
+    # reads fewer rows reads less
+    sys_ = shifted_sys if example == "shifted_ho" else perturbed_sys
+    residuals = expansion_residual(sys_, Run(sys_, SETTINGS).span[:5], SETTINGS["tol_krein"])
+    assert len(residuals) == 5 and np.argmax(residuals) == worst
+    assert run_row(example, "expansion", sys_).value == np.max(residuals)
 
 
 def test_nan_on_the_krein_diagonal_fails_the_sign_checks(shifted_sys):
