@@ -20,7 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import floattext
 from .errors import GrslabError
 
 __all__ = [
@@ -136,42 +135,48 @@ def emit_json(report: VerificationReport, path: str) -> None:
 def write_matrix_csv(matrix: np.ndarray, path: str) -> None:
     """Dump a matrix as rows ``n,m,value_re,value_im``; a real matrix writes
     the imaginary part 0.0 of its complex cast."""
-    m = np.asarray(matrix)
-    m = np.atleast_2d(m.astype(complex if np.iscomplexobj(m) else float, copy=False))
-    imag = m.imag if np.iscomplexobj(m) else np.broadcast_to(0.0, m.shape)
-    _write_table(path, "n,m,value_re,value_im", [m.real, imag], "matrix")
+    m = np.atleast_2d(np.asarray(matrix))
+    if np.iscomplexobj(m):  # each entry's real and imaginary parts side by side, as stored
+        values, end = np.ascontiguousarray(m, dtype=complex).view(float).reshape(*m.shape, 2), b"\r\n"
+    else:
+        values, end = m.astype(float, copy=False)[..., None], b",0.0\r\n"
+    _write_table(path, "n,m,value_re,value_im", values, end, "matrix")
 
 
 def write_overlap_csv(closed: np.ndarray, quad: np.ndarray, path: str) -> None:
     """Comparison table of closed-form vs quadrature overlap magnitudes."""
     closed, quad = np.asarray(closed, dtype=float), np.asarray(quad, dtype=complex)
-    fields = [closed, quad.real, quad.imag, np.abs(np.abs(quad) - closed)]
-    _write_table(path, "n,m,closed_form,quad_re,quad_im,abs_diff", fields, "overlap table")
+    values = np.stack([closed, quad.real, quad.imag, np.abs(np.abs(quad) - closed)], axis=-1)
+    _write_table(path, "n,m,closed_form,quad_re,quad_im,abs_diff", values, b"\r\n", "overlap table")
 
 
-_BLOCK = 512  # entries per write of _write_table
+_VALUES = 3072  # values digitized per block of whole rows; a block's temporaries stay under 0.5 MB
 
 
-def _write_table(path: str, header: str, fields: list[np.ndarray], what: str) -> None:
-    """Write ``header`` and a line ``n,m,f1,...`` per entry of the matrices
-    ``fields``, the bytes ``csv.writer`` writes for their ``repr``: each block
-    of entries is laid out in a uint8 matrix with NUL padding, written without."""
-    rows, cols = fields[0].shape
-    flat = [f.reshape(-1) for f in fields]
-    wide = len(str(max(rows, cols)))
-    names = np.arange(max(rows, cols)).astype(f"S{wide}")[:, None].view(np.uint8)
+def _write_table(path: str, header: str, values: np.ndarray, end: bytes, what: str) -> None:
+    """Write ``header`` and ``n,m,v1,...`` plus ``end`` per row of ``values[n, m]``, the bytes ``csv.writer``
+    writes for their ``repr``.  A block of whole rows is lines of fixed-width slots padded with NUL bytes
+    ("n," ends its slot, "m," starts the next, each text ends its own); only the row slots and the texts
+    change from block to block, and one boolean gather drops the padding."""
+    from . import floattext  # only a process that writes a CSV loads the formatter
+
+    rows, cols, fields = values.shape
+    index = [b"%d," % k for k in range(max(rows, cols))]
+    wide = max(map(len, index), default=0)
+    left = np.array(index, f"S{wide}")[:, None].view(np.uint8)
+    right = np.array([k.rjust(wide, b"\0") for k in index], f"S{wide}")[:, None].view(np.uint8)
+    per, slot = max(1, min(rows, _VALUES // max(1, cols * fields))), floattext.WIDTH + 1
+    line = np.zeros((per, cols, 2 * wide + slot * fields + len(end) - 1), np.uint8)
+    line[:, :, wide : 2 * wide] = left[:cols]
+    cells = line[:, :, 2 * wide : 2 * wide + slot * fields].reshape(per, cols, fields, slot)
+    cells[..., -1], line[..., -len(end) :] = ord(","), np.frombuffer(end, np.uint8)
     try:
         with open(path, "wb") as fh:
             fh.write(header.encode("ascii") + b"\r\n")
-            for start in range(0, rows * cols, _BLOCK):
-                k = np.arange(start, min(start + _BLOCK, rows * cols))
-                line = np.empty((len(k), 2 * wide + 3 + len(flat) * (floattext.WIDTH + 1)), np.uint8)
-                line[:, :wide], line[:, wide + 1 : 2 * wide + 1] = names[k // cols], names[k % cols]
-                cells = line[:, 2 * wide + 2 : -1].reshape(len(k), len(flat), -1)
-                values = np.column_stack([f[start : start + len(k)] for f in flat])
-                cells[:, :, :-1] = floattext.float_text(values).reshape(cells.shape[:2] + (-1,))
-                line[:, [wide, 2 * wide + 1]] = cells[:, :, -1] = ord(",")
-                line[:, -2:] = (ord("\r"), ord("\n"))
-                fh.write(line.tobytes().translate(None, b"\0"))
+            for r0 in range(0, rows, per):
+                n = min(per, rows - r0)
+                line[:n, :, :wide] = right[r0 : r0 + n, None]
+                cells[:n, :, :, :-1] = floattext.float_text(values[r0 : r0 + n]).reshape(n, cols, fields, slot - 1)
+                fh.write(line[:n][line[:n] != 0])
     except OSError as exc:
         raise GrslabError(f"cannot write {what} to {path!r}: {exc}") from exc

@@ -225,7 +225,7 @@ class TestOverlapCommand:
             "default:TOL_OVERLAP_REL", "default:TOL_OVERLAP_ODD", "default:TOL_SPOT",
         ]
 
-    @pytest.mark.parametrize("n_max", [12, 30])
+    @pytest.mark.parametrize("n_max", [0, 12, 30])
     def test_csv_bytes_match_csv_writer(self, tmp_path, n_max):
         path = tmp_path / "cmp.csv"
         assert main(["overlap", "--n-max", str(n_max), "--csv", str(path)]) == 0

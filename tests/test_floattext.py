@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grslab import ExampleSpec, floattext, make_example
+from grslab import ExampleSpec, floattext, make_example, overlap_matrices
 from grslab.floattext import float_text
-from grslab.report import write_matrix_csv
+from grslab.report import write_matrix_csv, write_overlap_csv
 
 from reference import write_matrix_csv as reference_matrix_csv
 
@@ -95,14 +95,39 @@ def test_gram_csv_bytes_match_the_reference_writer(gram, tmp_path, repr_calls):
     assert len(repr_calls) <= 0.005 * gram.size
 
 
+# the special values of float_text, and shapes with one row or one column, where
+# the index width changes, where no block size divides the entry count, where a
+# row holds more values than a block, and with no rows
+SPECIAL = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, -1e300, 0.0, 1.0]
+EDGE_SHAPES = [(1, 1), (1, 513), (513, 1), (10, 10), (101, 3), (37, 91), (2, 1601), (0, 4)]
+
+
+@pytest.mark.parametrize("shape", EDGE_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_edge_shape_csv_bytes_match_the_reference_writer(shape, kind, tmp_path):
+    rng = np.random.default_rng(sum(shape))
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    values.flat[: len(SPECIAL)] = SPECIAL[: values.size]
+    if kind == "complex":
+        values = values.astype(complex)
+        values.imag = np.roll(values.real, 1)
+    write_matrix_csv(values, str(tmp_path / "fast.csv"))
+    reference_matrix_csv(values, str(tmp_path / "reference.csv"))
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 def test_write_peak_memory(tmp_path):
-    gram = make_example(ExampleSpec(**GRAMS["shifted-ho-128"])).biorth_gram
-    path = str(tmp_path / "gram.csv")
-    write_matrix_csv(gram, path)  # builds the tables once per process
-    tracemalloc.start()
-    try:
-        write_matrix_csv(gram, path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.5e6
+    # the complex and a real Gram at N = 128, and the overlap table at n_max = 30
+    sh, e1 = (make_example(ExampleSpec(**GRAMS[name])).biorth_gram for name in ("shifted-ho-128", "example1-128"))
+    closed, example1 = overlap_matrices(30)
+    path = str(tmp_path / "table.csv")
+    for write in (lambda: write_matrix_csv(sh, path), lambda: write_matrix_csv(e1, path),
+                  lambda: write_overlap_csv(closed, example1.krein_gram, path)):
+        write()  # builds the tables once per process
+        tracemalloc.start()
+        try:
+            write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5e6

@@ -65,6 +65,23 @@ def test_cli_and_overlap_leave_fractions_and_decimal_unimported(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == {"import": [], "rc": 0, "overlap": []}
 
 
+def test_only_a_csv_write_loads_the_formatter(tmp_path):
+    # the set-up path (import and a verify without --csv) never imports floattext
+    proc = run_fresh(
+        "import contextlib, io, json, sys, grslab.cli\n"
+        "argv = ['verify', 'shifted-ho', '--n', '8', '--json', %r]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [grslab.cli.main(argv)]\n"
+        "    loaded = ['grslab.floattext' in sys.modules]\n"
+        "    codes.append(grslab.cli.main(argv + ['--csv', %r]))\n"
+        "    loaded.append('grslab.floattext' in sys.modules)\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
+        % (str(tmp_path / "r.json"), str(tmp_path / "g.csv"))
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0], "loaded": [False, True]}
+
+
 def test_perturbed_anharmonic_leaves_scipy_linalg_unimported():
     proc = run_fresh(
         "import contextlib, io, json, sys, grslab.cli\n"
